@@ -22,9 +22,9 @@ from .policy import (
     ResidualPolicy,
     make_policy,
 )
-from .prior import Action, PriorParams, prior_command
+from .prior import Action, PriorParams, compose_hybrid, prior_command
 from .rollout import load_trajectory, run_episode, save_trajectory
-from .td3 import Td3Config, compose_hybrid, train
+from .td3 import Td3Config, train
 from .world import Circle, Pose, Rect, WorldSpec, load_world, save_world, scan
 from .worldgen import WorldGenParams, generate_suite, load_suite, write_suite
 

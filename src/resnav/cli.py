@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
-from .env import NavEnv
+from .env import EVAL_SEED_OFFSET, NavEnv
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .evaluation import evaluate
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell
@@ -20,7 +20,7 @@ from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
 from .policy import CHECKPOINT_KIND, PolicyMode, env_mode_for, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
-from .td3 import EVAL_SEED_OFFSET, read_training_log, train
+from .td3 import read_training_log, train
 from .world import world_from_dict
 from .worldgen import generate_suite, load_suite, write_suite
 

@@ -32,6 +32,9 @@ N_BINS = 15
 RESIDUAL_OBS_DIM = 21
 E2E_OBS_DIM = 19
 _MAX_RESET_ATTEMPTS = 1000
+# Reset seeds at and above this offset are reserved for evaluation, so the
+# goals seen by any evaluation pass are disjoint from the training draws.
+EVAL_SEED_OFFSET = 2**62
 
 # Observation layout (residual mode); end-to-end stops after IDX_PREV_OMEGA.
 IDX_ANGLE_TO_GOAL = 15
@@ -138,7 +141,11 @@ def obs_dim(mode: str) -> int:
 
 
 class NavEnv:
-    """Episode runner binding a world, a sensor model, and the prior."""
+    """Episode runner binding a world, a sensor model, and the prior.
+
+    Besides the live state it keeps the episode's start pose and the
+    distance driven since reset (path_length, m).
+    """
 
     def __init__(
         self,
@@ -161,6 +168,8 @@ class NavEnv:
                 f"laser max_range={self.sensor.max_range}"
             )
         self._pose: Pose | None = None
+        self.start: Pose | None = None
+        self.path_length = 0.0
         self._goal: tuple[float, float] | None = None
         self._steps = 0
         self._terminal: Terminal | None = Terminal.TIMEOUT  # force reset before stepping
@@ -197,8 +206,10 @@ class NavEnv:
         """Sample a collision-free start pose and goal, return the first observation."""
         rng = np.random.default_rng(seed)
         self._pose = Pose(*self._sample_clear(self.world.start_region, rng), rng.uniform(-math.pi, math.pi))
+        self.start = self._pose
         self._goal = self._sample_clear(self.world.goal_region, rng)
         self._steps = 0
+        self.path_length = 0.0
         self._terminal = None
         self._prev_action = Action(0.0, 0.0)
         return self._observe()
@@ -218,8 +229,10 @@ class NavEnv:
             raise UsageError("episode already terminated; call reset before stepping")
         v = min(max(action.v, -1.0), 1.0)
         omega = min(max(action.omega, -1.0), 1.0)
-        self._pose = step_kinematics(self._pose, v, omega, self.episode.dt)
+        prev = self._pose
+        self._pose = step_kinematics(prev, v, omega, self.episode.dt)
         self._steps += 1
+        self.path_length += math.hypot(self._pose.x - prev.x, self._pose.y - prev.y)
 
         d_target = math.hypot(self._goal[0] - self._pose.x, self._goal[1] - self._pose.y)
         if d_target < self.episode.d_threshold:

@@ -14,13 +14,12 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .env import EpisodeConfig, NavEnv, SensorConfig
+from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from .errors import ConfigurationError
 from .grid import ShortestPathOracle
-from .policy import PolicyMode, env_mode_for
+from .policy import PolicyMode, PriorPolicy, env_mode_for
 from .prior import PriorParams
-from .rollout import EpisodeRecord, run_episode
-from .td3 import EVAL_SEED_OFFSET
+from .rollout import EpisodeRecord, csv_cell, drive, run_episode
 from .world import WorldSpec
 
 EPISODE_CSV_COLUMNS = (
@@ -101,12 +100,7 @@ class EvalResult:
             writer.writerow(EPISODE_CSV_COLUMNS)
             for res in self.results.values():
                 for e in res.episodes:
-                    writer.writerow([
-                        e.mode, e.episode, e.seed, e.world,
-                        "true" if e.success else "false", e.steps,
-                        repr(e.actuation_s), repr(e.path_length_m), repr(e.shortest_m),
-                        "" if e.spl_term is None else repr(e.spl_term),
-                    ])
+                    writer.writerow([csv_cell(getattr(e, col)) for col in EPISODE_CSV_COLUMNS])
 
 
 def evaluate(
@@ -179,3 +173,34 @@ def evaluate(
             stacklevel=2,
         )
     return EvalResult(results=results)
+
+
+def tune_check(
+    worlds,
+    episode_config=None,
+    sensor_config=None,
+    params: PriorParams | None = None,
+    n_episodes: int = 100,
+    seed: int = 0,
+) -> float:
+    """Success fraction of the prior alone over a suite of episodes.
+
+    Used to calibrate PriorParams against a generated world suite before
+    any learning happens.
+    """
+    if n_episodes < 1:
+        raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
+    if not worlds:
+        raise ConfigurationError("tune_check needs at least one world")
+    envs = [
+        NavEnv(w, episode=episode_config, sensor=sensor_config, mode="residual",
+               prior_params=params or PriorParams())
+        for w in worlds
+    ]
+    policy = PriorPolicy()
+    successes = 0
+    for i in range(n_episodes):
+        for _prior, _out, result in drive(envs[i % len(envs)], policy, seed * 1_000_003 + i):
+            pass
+        successes += result.terminal is Terminal.GOAL
+    return successes / n_episodes

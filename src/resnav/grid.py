@@ -180,31 +180,31 @@ def nearest_free_cell(grid: OccupancyGrid, ix: int, iy: int, radius: int = 3) ->
 class ShortestPathOracle:
     """Caches rasterized grids and shortest-path queries per world.
 
-    Worlds are keyed by identity, so reuse the same WorldSpec objects
-    across queries to benefit from the cache. Query endpoints snap to the
-    nearest free cell within a few cells.
+    Worlds are keyed by value (WorldSpec is frozen and hashable): equal
+    worlds share one grid, and the cache keeps its worlds alive, so a new
+    world can never be served the entry of a freed one.
+    Query endpoints snap to the nearest free cell within a few cells.
     """
 
     def __init__(self, cell: float = 0.05) -> None:
         if cell <= 0.0:
             raise ConfigurationError(f"cell size must be positive, got {cell}")
         self.cell = cell
-        self._grids: dict[int, OccupancyGrid] = {}
-        self._lengths: dict[tuple[int, tuple[int, int], tuple[int, int]], float] = {}
+        self._grids: dict[WorldSpec, OccupancyGrid] = {}
+        self._lengths: dict[tuple[WorldSpec, tuple[int, int], tuple[int, int]], float] = {}
 
     def grid(self, world: WorldSpec) -> OccupancyGrid:
-        key = id(world)
-        if key not in self._grids:
+        if world not in self._grids:
             cols = max(2, round(world.width / self.cell))
             rows = max(2, round(world.height / self.cell))
-            self._grids[key] = rasterize(world, cols, rows)
-        return self._grids[key]
+            self._grids[world] = rasterize(world, cols, rows)
+        return self._grids[world]
 
     def shortest(self, world: WorldSpec, start_xy, goal_xy) -> float:
         grid = self.grid(world)
         s = nearest_free_cell(grid, *grid.cell_of(*start_xy))
         g = nearest_free_cell(grid, *grid.cell_of(*goal_xy))
-        key = (id(world), s, g)
+        key = (world, s, g)
         if key not in self._lengths:
             self._lengths[key] = astar_shortest(grid, s, g)
         return self._lengths[key]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .nn import Mlp, mc_statistics
-from .prior import Action
-from .td3 import compose_hybrid
+from .prior import Action, compose_hybrid
 
 
 class PolicyMode(Enum):

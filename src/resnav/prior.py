@@ -79,40 +79,10 @@ def prior_command(
     return Action(v, omega)
 
 
-def tune_check(
-    worlds,
-    episode_config=None,
-    sensor_config=None,
-    params: PriorParams | None = None,
-    n_episodes: int = 100,
-    seed: int = 0,
-) -> float:
-    """Success fraction of the prior alone over a suite of episodes.
-
-    Used to calibrate PriorParams against a generated world suite before
-    any learning happens.
-    """
-    from .env import EpisodeConfig, NavEnv, SensorConfig  # env layers above prior
-
-    if n_episodes < 1:
-        raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
-    if not worlds:
-        raise ConfigurationError("tune_check needs at least one world")
-    episode_config = episode_config or EpisodeConfig()
-    sensor_config = sensor_config or SensorConfig()
-    params = params or PriorParams()
-
-    envs = [
-        NavEnv(w, episode=episode_config, sensor=sensor_config, mode="residual", prior_params=params)
-        for w in worlds
-    ]
-    successes = 0
-    for i in range(n_episodes):
-        env = envs[i % len(envs)]
-        env.reset(seed * 1_000_003 + i)
-        while True:
-            result = env.step(env.last_prior_action)
-            if result.terminal is not None:
-                successes += int(result.reward > 0.0)
-                break
-    return successes / n_episodes
+def compose_hybrid(prior_action: Action, residual) -> Action:
+    """Executed command: prior plus residual, clipped per dimension to [-1, 1]."""
+    r = np.asarray(residual, dtype=np.float64)
+    return Action(
+        min(max(prior_action.v + float(r[0]), -1.0), 1.0),
+        min(max(prior_action.omega + float(r[1]), -1.0), 1.0),
+    )

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .env import NavEnv, Terminal, discounted_return
+from .env import NavEnv, StepResult, Terminal, discounted_return
 from .errors import ConfigurationError, UsageError
 from .policy import PolicyOutput
+from .prior import Action
 from .world import world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
@@ -71,23 +72,32 @@ def policy_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1])
 
 
-def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
-    """Roll one episode of `policy` in `env`, recording every step."""
+def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[Action | None, PolicyOutput, StepResult]]:
+    """Reset `env` with `seed` and step `policy` until the episode ends.
+
+    Yields (prior, output, result) after every step, where prior is the
+    prior command the policy saw (None in end-to-end mode). The env is
+    left on the step just yielded, so its pose, start and path_length can
+    be read between steps and after the last one.
+    """
     obs = env.reset(seed)
     rng = policy_rng(seed)
-    start = (env.pose.x, env.pose.y)
-    rows = [TrajectoryRow(t=0, x=env.pose.x, y=env.pose.y, theta=env.pose.theta)]
-    rewards: list[float] = []
-    path_length = 0.0
-    prev = start
     while True:
         prior = env.last_prior_action if env.mode == "residual" else None
-        out: PolicyOutput = policy.act(obs, prior, rng)
+        out = policy.act(obs, prior, rng)
         result = env.step(out.action)
+        yield prior, out, result
+        if result.terminal is not None:
+            return
+        obs = result.observation
+
+
+def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
+    """Roll one episode of `policy` in `env`, recording every step."""
+    rows: list[TrajectoryRow] = []
+    rewards: list[float] = []
+    for prior, out, result in drive(env, policy, seed):
         executed = result.info["executed"]
-        cur = (env.pose.x, env.pose.y)
-        path_length += math.hypot(cur[0] - prev[0], cur[1] - prev[1])
-        prev = cur
         rewards.append(result.reward)
         rows.append(TrajectoryRow(
             t=env.steps,
@@ -103,23 +113,23 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
             used_prior_only=out.used_prior_only,
             reward=result.reward,
         ))
-        obs = result.observation
-        if result.terminal is not None:
-            return EpisodeRecord(
-                mode=policy.mode.value,
-                seed=seed,
-                terminal=result.terminal,
-                success=result.terminal is Terminal.GOAL,
-                steps=env.steps,
-                path_length_m=path_length,
-                discounted_return=discounted_return(rewards, env.episode.gamma),
-                start=start,
-                goal=env.goal,
-                rows=rows,
-            )
+    start = env.start
+    return EpisodeRecord(
+        mode=policy.mode.value,
+        seed=seed,
+        terminal=result.terminal,
+        success=result.terminal is Terminal.GOAL,
+        steps=env.steps,
+        path_length_m=env.path_length,
+        discounted_return=discounted_return(rewards, env.episode.gamma),
+        start=start.position(),
+        goal=env.goal,
+        rows=[TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows],
+    )
 
 
-def _cell(value) -> str:
+def csv_cell(value) -> str:
+    """One CSV field: empty for None, true/false for bools, repr for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -140,7 +150,7 @@ def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> Non
         writer = csv.writer(fh)
         writer.writerow(TRAJ_COLUMNS)
         for row in record.rows:
-            writer.writerow([_cell(getattr(row, col)) for col in TRAJ_COLUMNS])
+            writer.writerow([csv_cell(getattr(row, col)) for col in TRAJ_COLUMNS])
     meta = {
         "format": TRAJ_FORMAT,
         "mode": record.mode,

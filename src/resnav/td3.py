@@ -11,23 +11,23 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .env import EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return, obs_dim
+from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return, obs_dim
 from .errors import ConfigurationError, TrainingDiverged, UsageError
+from .evaluation import spl_term
 from .grid import ShortestPathOracle
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
-from .prior import Action, PriorParams
+from .policy import EndToEndPolicy, ResidualPolicy
+from .prior import Action, PriorParams, compose_hybrid
+from .rollout import csv_cell, drive
 from .world import WorldSpec
 
 ACTION_DIM = 2
 TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
-# Reset seeds at and above this offset are reserved for evaluation, so the
-# goals seen by any evaluation pass are disjoint from the training draws.
-EVAL_SEED_OFFSET = 2**62
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,6 @@ class ReplayBuffer:
         return (self.obs[idx], self.action[idx], self.reward[idx], self.next_obs[idx], self.done[idx])
 
 
-def compose_hybrid(prior_action: Action, residual) -> Action:
-    """Executed command: prior plus residual, clipped per dimension to [-1, 1]."""
-    r = np.asarray(residual, dtype=np.float64)
-    return Action(
-        min(max(prior_action.v + float(r[0]), -1.0), 1.0),
-        min(max(prior_action.omega + float(r[1]), -1.0), 1.0),
-    )
-
-
 def bootstrap_mask(terminal: Terminal | None) -> float:
     """1.0 when the state itself ended the episode, 0.0 when only the clock did.
 
@@ -146,6 +137,11 @@ class Td3Nets:
         actor = Mlp(actor_sizes, "tanh", config.dropout_p, rng=rng)
         critic1 = Mlp(critic_sizes, "identity", 0.0, rng=rng)
         critic2 = Mlp(critic_sizes, "identity", 0.0, rng=rng)
+        return cls.from_networks(actor, critic1, critic2, config)
+
+    @classmethod
+    def from_networks(cls, actor: Mlp, critic1: Mlp, critic2: Mlp, config: Td3Config) -> Td3Nets:
+        """Targets copied from the live networks, fresh optimiser state."""
         return cls(
             actor=actor,
             actor_target=actor.copy(),
@@ -224,23 +220,12 @@ class TrainResult:
     log_path: Path | None = None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_training_log(rows: list[TrainLogRow], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAIN_LOG_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r.episode, r.steps, _fmt(r.path_length_m), r.success, _fmt(r.ret),
-                _fmt(r.eval_success), _fmt(r.eval_spl),
-            ])
+            writer.writerow([csv_cell(v) for v in astuple(r)])
 
 
 def read_training_log(path: str | Path) -> list[TrainLogRow]:
@@ -265,42 +250,27 @@ def read_training_log(path: str | Path) -> list[TrainLogRow]:
     return rows
 
 
-def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> tuple[bool, float, int,
-                                                                           tuple, tuple]:
-    """Deterministic rollout (no noise, dropout off) used for periodic eval."""
-    obs = env.reset(seed)
-    start = (env.pose.x, env.pose.y)
-    path = 0.0
-    prev = start
-    while True:
-        out = actor.forward(obs)
-        if mode == "residual":
-            act = compose_hybrid(env.last_prior_action, out)
-        else:
-            act = Action(float(out[0]), float(out[1]))
-        result = env.step(act)
-        cur = (env.pose.x, env.pose.y)
-        path += math.hypot(cur[0] - prev[0], cur[1] - prev[1])
-        prev = cur
-        obs = result.observation
-        if result.terminal is not None:
-            return (result.terminal is Terminal.GOAL, path, env.steps, start, env.goal)
+def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
+    """Deterministic rollout (no noise, dropout off) used for periodic eval; True on success."""
+    policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
+    for _prior, _out, result in drive(env, policy, seed):
+        pass
+    return result.terminal is Terminal.GOAL
 
 
 def _periodic_eval(envs, actor: Mlp, mode: str, n_episodes: int, oracle: ShortestPathOracle,
                    seed_base: int) -> tuple[float, float]:
+    """Greedy success rate and SPL on the episodes evaluation.evaluate would pair."""
     successes = 0
     spl_terms: list[float] = []
     for i in range(n_episodes):
         env = envs[i % len(envs)]
-        ok, path, _steps, start, goal = greedy_episode(env, actor, mode, EVAL_SEED_OFFSET + seed_base + i)
-        successes += int(ok)
-        shortest = oracle.shortest(env.world, start, goal)
-        if math.isfinite(shortest) and shortest > 0.0:
-            spl_terms.append(float(ok) * shortest / max(path, shortest))
-    success = successes / n_episodes
-    spl = sum(spl_terms) / len(spl_terms) if spl_terms else 0.0
-    return (success, spl)
+        ok = greedy_episode(env, actor, mode, EVAL_SEED_OFFSET + seed_base + i)
+        successes += ok
+        term = spl_term(ok, env.path_length, oracle.shortest(env.world, env.start.position(), env.goal))
+        if term is not None:
+            spl_terms.append(term)
+    return (successes / n_episodes, sum(spl_terms) / len(spl_terms) if spl_terms else 0.0)
 
 
 def _dump_divergence(out_dir: Path | None, info: dict) -> None:
@@ -321,10 +291,12 @@ def train(
 ) -> TrainResult:
     """Run TD3 over a world suite; returns the trained actor and the episode log.
 
-    Checkpoints land in out_dir: actor.ckpt at the end plus a rolling
-    snapshot (actor/critic1/critic2) every eval_every episodes. Resuming
-    restarts from the snapshot networks with a fresh replay buffer and
-    optimizer state; only network weights are checkpointed.
+    Checkpoints land in out_dir: actor.ckpt and train_log.csv at the end
+    plus a rolling snapshot (actor/critic1/critic2 and the log so far)
+    every eval_every episodes. Resuming restarts from the snapshot networks
+    with a fresh replay buffer and optimizer state, and train_log.csv
+    keeps the snapshot's rows ahead of the new ones; TrainResult.log holds
+    only the episodes this call ran.
     """
     if mode not in ("residual", "end_to_end"):
         raise ConfigurationError(f"unknown training mode {mode!r}")
@@ -342,8 +314,9 @@ def train(
 
     dim = obs_dim(mode)
     start_episode = 1
+    history: list[TrainLogRow] = []
     if resume_from is not None:
-        nets, start_episode = _load_snapshot(Path(resume_from), dim, config)
+        nets, start_episode, history = _load_snapshot(Path(resume_from), dim, config)
     else:
         nets = Td3Nets.build(dim, config, rng_init)
 
@@ -363,8 +336,6 @@ def train(
         env = envs[int(rng_episode.integers(len(envs)))]
         obs = env.reset(int(rng_episode.integers(EVAL_SEED_OFFSET)))
         rewards: list[float] = []
-        path_length = 0.0
-        prev_xy = (env.pose.x, env.pose.y)
         while True:
             if total_steps < config.warmup_steps:
                 policy_action = rng_explore.uniform(-1.0, 1.0, ACTION_DIM)
@@ -379,9 +350,6 @@ def train(
             buffer.add(obs, policy_action, result.reward, result.observation,
                        bootstrap_mask(result.terminal))
             obs = result.observation
-            cur_xy = (env.pose.x, env.pose.y)
-            path_length += math.hypot(cur_xy[0] - prev_xy[0], cur_xy[1] - prev_xy[1])
-            prev_xy = cur_xy
             rewards.append(result.reward)
             total_steps += 1
 
@@ -404,37 +372,39 @@ def train(
         row = TrainLogRow(
             episode=ep,
             steps=env.steps,
-            path_length_m=path_length,
+            path_length_m=env.path_length,
             success=int(result.terminal is Terminal.GOAL),
             ret=discounted_return(rewards, config.gamma),
         )
+        log.append(row)
         if ep % config.eval_every == 0:
             row.eval_success, row.eval_spl = _periodic_eval(
                 envs, nets.actor, mode, config.eval_episodes, oracle, seed_base=seed * 100_000
             )
             if out_path is not None:
-                _save_snapshot(out_path, nets, mode, ep)
-        log.append(row)
+                _save_snapshot(out_path, nets, mode, history + log)
 
     ckpt_path = log_path = None
     if out_path is not None:
         ckpt_path = out_path / "actor.ckpt"
         save_checkpoint(nets.actor, mode, ckpt_path)
         log_path = out_path / "train_log.csv"
-        write_training_log(log, log_path)
+        write_training_log(history + log, log_path)
     return TrainResult(actor=nets.actor, mode=mode, log=log, checkpoint_path=ckpt_path, log_path=log_path)
 
 
-def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, episode: int) -> None:
+def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRow]) -> None:
     snap = out_dir / "snapshot"
     snap.mkdir(exist_ok=True)
     save_checkpoint(nets.actor, mode, snap / "actor.ckpt")
     save_checkpoint(nets.critic1, mode, snap / "critic1.ckpt")
     save_checkpoint(nets.critic2, mode, snap / "critic2.ckpt")
-    (snap / "state.json").write_text(json.dumps({"episode": episode, "mode": mode}) + "\n")
+    write_training_log(log, snap / "train_log.csv")
+    (snap / "state.json").write_text(json.dumps({"episode": log[-1].episode, "mode": mode}) + "\n")
 
 
-def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets, int]:
+def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets, int, list[TrainLogRow]]:
+    """Networks, first episode to run, and the log rows up to the snapshot."""
     snap = run_dir / "snapshot"
     state_file = snap / "state.json"
     if not state_file.exists():
@@ -447,15 +417,6 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
         raise ConfigurationError(
             f"snapshot actor expects {actor.layer_sizes[0]}-dim observations, run uses {dim}"
         )
-    nets = Td3Nets(
-        actor=actor,
-        actor_target=actor.copy(),
-        critic1=critic1,
-        critic2=critic2,
-        critic1_target=critic1.copy(),
-        critic2_target=critic2.copy(),
-        adam_actor=Adam(actor.parameters(), config.actor_lr),
-        adam_critic1=Adam(critic1.parameters(), config.critic_lr),
-        adam_critic2=Adam(critic2.parameters(), config.critic_lr),
-    )
-    return nets, int(state["episode"]) + 1
+    log_file = snap / "train_log.csv"
+    history = read_training_log(log_file) if log_file.exists() else []
+    return Td3Nets.from_networks(actor, critic1, critic2, config), int(state["episode"]) + 1, history

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -154,13 +154,17 @@ class LaserScan:
     fov: float  # rad, total field of view
     max_range: float  # m
 
-    @cached_property
+    @property
     def angles(self) -> np.ndarray:
-        """Relative beam angles, evenly spaced over [-fov/2, fov/2]."""
-        n = len(self.ranges)
-        a = np.linspace(-0.5 * self.fov, 0.5 * self.fov, n)
-        a.flags.writeable = False
-        return a
+        return beam_angles(len(self.ranges), self.fov)
+
+
+@cache
+def beam_angles(n_rays: int, fov: float) -> np.ndarray:
+    """Relative beam angles, evenly spaced over [-fov/2, fov/2]; one shared read-only array."""
+    a = np.linspace(-0.5 * fov, 0.5 * fov, n_rays)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,7 @@ def scan(pose: Pose, n_rays: int, max_range: float, world: WorldSpec) -> LaserSc
         raise ConfigurationError(f"n_rays must be >= 15 and divisible into 15 bins, got {n_rays}")
     if max_range <= 0.0:
         raise ConfigurationError(f"max_range must be positive, got {max_range}")
-    rel = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_rays)
-    ranges = raycast_angles(pose.x, pose.y, pose.theta + rel, max_range, world)
+    ranges = raycast_angles(pose.x, pose.y, pose.theta + beam_angles(n_rays, math.pi), max_range, world)
     ranges.flags.writeable = False
     return LaserScan(ranges=ranges, fov=math.pi, max_range=max_range)
 

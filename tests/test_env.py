@@ -142,6 +142,23 @@ class TestResetAndStep:
         p2, r2 = run()
         assert p1 == p2 and r1 == r2
 
+    def test_start_and_path_length_track_the_episode(self, cluttered_world):
+        env = NavEnv(cluttered_world)
+        rng = np.random.default_rng(5)
+        for seed in (3, 4):
+            env.reset(seed=seed)
+            start = env.pose
+            assert env.start == start and env.path_length == 0.0
+            driven = 0.0
+            while True:
+                before = env.pose
+                r = env.step(Action(float(rng.uniform(0, 1)), float(rng.uniform(-1, 1))))
+                driven += math.hypot(env.pose.x - before.x, env.pose.y - before.y)
+                if r.terminal is not None:
+                    break
+            assert env.start == start
+            assert env.path_length == driven > 0.0
+
     def test_episode_reward_total_is_binary(self, cluttered_world):
         env = NavEnv(cluttered_world)
         rng = np.random.default_rng(23)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from resnav.errors import UsageError
-from resnav.grid import SQRT2, OccupancyGrid, astar_path, astar_shortest, rasterize
-from resnav.world import Circle, Rect, WorldSpec
+from resnav.grid import SQRT2, OccupancyGrid, ShortestPathOracle, astar_path, astar_shortest, rasterize
+from resnav.world import Circle, Rect, WorldSpec, world_from_dict, world_to_dict
+from resnav.worldgen import WorldGenParams, generate_suite
 
 
 def dijkstra_reference(occ: np.ndarray, start, goal) -> float:
@@ -170,3 +171,22 @@ class TestAstar:
     def test_start_equals_goal(self):
         g = grid_from_bool(np.zeros((5, 5), dtype=bool), 0.1)
         assert astar_shortest(g, (2, 2), (2, 2)) == 0.0
+
+
+class TestShortestPathOracle:
+    def test_value_equal_world_hits_the_cache(self):
+        world = generate_suite(WorldGenParams(), 1, 3)[0]
+        oracle = ShortestPathOracle(0.1)
+        grid = oracle.grid(world)
+        copy = world_from_dict(world_to_dict(world))
+        assert copy is not world
+        assert oracle.grid(copy) is grid
+
+    def test_cached_grids_match_fresh_rasterization(self):
+        # each world is freed right after its query, so a later world can be
+        # allocated at the same address; the cache must not mistake it for the old one
+        oracle = ShortestPathOracle(0.1)
+        for seed in range(30):
+            grid = oracle.grid(generate_suite(WorldGenParams(), 1, seed)[0])
+            fresh = rasterize(generate_suite(WorldGenParams(), 1, seed)[0], grid.cols, grid.rows)
+            assert np.array_equal(grid.occupied, fresh.occupied), f"stale grid for world seed {seed}"

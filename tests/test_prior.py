@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from resnav.errors import ConfigurationError
-from resnav.prior import Action, PriorParams, prior_command, tune_check
+from resnav.evaluation import tune_check
+from resnav.prior import Action, PriorParams, prior_command
 from resnav.world import Circle, LaserScan, Pose, Rect, WorldSpec, scan
 from tests.conftest import make_empty_world
 

@@ -6,15 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from resnav.env import EpisodeConfig, SensorConfig, Terminal
+from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal, obs_dim
 from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
+from resnav.evaluation import evaluate
+from resnav.grid import ShortestPathOracle
 from resnav.nn import Adam, Mlp
+from resnav.policy import EndToEndPolicy, ResidualPolicy
 from resnav.prior import Action
 from resnav.td3 import (
     ReplayBuffer,
     Td3Config,
     Td3Nets,
     TrainLogRow,
+    _periodic_eval,
     actor_update,
     bootstrap_mask,
     compose_hybrid,
@@ -24,7 +28,7 @@ from resnav.td3 import (
     write_training_log,
 )
 
-from conftest import make_empty_world
+from conftest import make_cluttered_world, make_empty_world
 
 
 def small_config(**overrides) -> Td3Config:
@@ -353,3 +357,34 @@ class TestTrainingLogIo:
         ) + "\n1,2,abc,0,0.0,,\n")
         with pytest.raises(ConfigurationError, match=":2"):
             read_training_log(path)
+
+
+class TestResumeLog:
+    def test_resume_keeps_the_earlier_log_rows(self, tmp_path):
+        world = make_empty_world(side=6.0)
+        out = tmp_path / "run"
+        episode = EpisodeConfig(max_steps=20)
+        first = train([world], "residual", small_config(total_episodes=4, eval_every=2),
+                      episode_config=episode, seed=9, out_dir=out)
+        resumed = train([world], "residual", small_config(total_episodes=6, eval_every=2),
+                        episode_config=episode, seed=9, out_dir=out, resume_from=out)
+        rows = read_training_log(out / "train_log.csv")
+        assert [r.episode for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert rows[:4] == first.log
+        assert rows[4:] == resumed.log
+
+
+class TestPeriodicEval:
+    @pytest.mark.parametrize("mode", ["residual", "end_to_end"])
+    def test_matches_evaluate_on_the_same_episodes(self, mode):
+        worlds = [make_cluttered_world(), make_empty_world(side=6.0)]
+        episode = EpisodeConfig(max_steps=50)  # short enough that some residual episodes time out
+        actor = Mlp([obs_dim(mode), 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
+        envs = [NavEnv(w, episode=episode, mode=mode) for w in worlds]
+        got = _periodic_eval(envs, actor, mode, 8, ShortestPathOracle(0.1), seed_base=11)
+        policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
+        result = evaluate(worlds, {"greedy": policy}, 8, seed_base=11, episode_config=episode,
+                          oracle=ShortestPathOracle(0.1))["greedy"]
+        assert got == (result.success_rate, result.spl)
+        if mode == "residual":
+            assert 0.0 < result.success_rate < 1.0

@@ -13,6 +13,7 @@ from resnav.world import (
     Pose,
     Rect,
     WorldSpec,
+    beam_angles,
     collides,
     load_world,
     normalize_angle,
@@ -125,6 +126,14 @@ class TestScan:
         assert s.angles[-1] == pytest.approx(math.pi / 2)
         gaps = np.diff(s.angles)
         assert np.allclose(gaps, math.pi / 179)
+
+    def test_beam_angles_are_built_once(self):
+        w = centered_world(10.0)
+        a = scan(Pose(5.0, 5.0, 0.0), 180, 5.0, w)
+        b = scan(Pose(4.0, 6.0, 1.0), 180, 5.0, w)
+        assert a.angles is b.angles is beam_angles(180, math.pi)
+        assert not a.angles.flags.writeable
+        assert np.array_equal(a.angles, np.linspace(-0.5 * math.pi, 0.5 * math.pi, 180))
 
     def test_all_ranges_clamped_and_positive(self):
         w = centered_world(6.0, obstacles=(Circle(3.0, 4.0, 0.5),))
