@@ -102,15 +102,20 @@ def discounted_return(rewards, gamma: float) -> float:
     return float(sum(r * gamma**i for i, r in enumerate(rewards)))
 
 
+def goal_polar(pose: Pose, goal: tuple[float, float]) -> tuple[float, float]:
+    """Angle to the goal (rad, robot frame) and distance to it (m)."""
+    angle = normalize_angle(math.atan2(goal[1] - pose.y, goal[0] - pose.x) - pose.theta)
+    return angle, math.hypot(goal[0] - pose.x, goal[1] - pose.y)
+
+
 def build_observation(
     laser: LaserScan,
-    pose: Pose,
     goal: tuple[float, float],
     prev_action: Action,
     prior_action: Action | None,
     mode: str = "residual",
 ) -> np.ndarray:
-    """Assemble the policy observation vector.
+    """Assemble the policy observation vector; goal is goal_polar's (angle, distance).
 
     Layout: 15 laser bins (min range per bin / max_range), angle to goal
     (rad, robot frame), distance to goal (m), previous executed (v, omega),
@@ -120,9 +125,7 @@ def build_observation(
     if n % N_BINS != 0:
         raise ConfigurationError(f"scan with {n} rays does not divide into {N_BINS} bins")
     bins = laser.ranges.reshape(N_BINS, n // N_BINS).min(axis=1) / laser.max_range
-    angle = normalize_angle(math.atan2(goal[1] - pose.y, goal[0] - pose.x) - pose.theta)
-    dist = math.hypot(goal[0] - pose.x, goal[1] - pose.y)
-    tail = [angle, dist, prev_action.v, prev_action.omega]
+    tail = [*goal, prev_action.v, prev_action.omega]
     if mode == "residual":
         if prior_action is None:
             raise UsageError("residual observation requires a prior action")
@@ -255,10 +258,7 @@ class NavEnv:
 
     def _observe(self) -> np.ndarray:
         laser = scan(self._pose, self.sensor.n_rays, self.sensor.max_range, self.world)
-        angle = normalize_angle(
-            math.atan2(self._goal[1] - self._pose.y, self._goal[0] - self._pose.x) - self._pose.theta
-        )
-        dist = math.hypot(self._goal[0] - self._pose.x, self._goal[1] - self._pose.y)
+        polar = goal_polar(self._pose, self._goal)
         if self.mode == "residual":
-            self._prior_action = prior_command(laser, angle, dist, self.prior_params)
-        return build_observation(laser, self._pose, self._goal, self._prev_action, self._prior_action, self.mode)
+            self._prior_action = prior_command(laser, *polar, self.prior_params)
+        return build_observation(laser, polar, self._prev_action, self._prior_action, self.mode)

@@ -8,7 +8,6 @@ planner's shortest path to the driven path; failures contribute zero.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .errors import ConfigurationError
 from .grid import ShortestPathOracle
 from .policy import PolicyMode, PriorPolicy, env_mode_for
 from .prior import PriorParams
-from .rollout import EpisodeRecord, csv_cell, drive, run_episode
+from .rollout import EpisodeRecord, drive, run_episode, write_csv
 from .world import WorldSpec
 
 EPISODE_CSV_COLUMNS = (
@@ -95,12 +94,8 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
     def write_episode_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EPISODE_CSV_COLUMNS)
-            for res in self.results.values():
-                for e in res.episodes:
-                    writer.writerow([csv_cell(getattr(e, col)) for col in EPISODE_CSV_COLUMNS])
+        write_csv(path, EPISODE_CSV_COLUMNS, ([getattr(e, col) for col in EPISODE_CSV_COLUMNS]
+                                              for res in self.results.values() for e in res.episodes))
 
 
 def evaluate(

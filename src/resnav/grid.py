@@ -194,17 +194,20 @@ class ShortestPathOracle:
         self._lengths: dict[tuple[WorldSpec, tuple[int, int], tuple[int, int]], float] = {}
 
     def grid(self, world: WorldSpec) -> OccupancyGrid:
-        if world not in self._grids:
+        # one lookup per query: a frozen dataclass recomputes its hash on every use
+        grid = self._grids.get(world)
+        if grid is None:
             cols = max(2, round(world.width / self.cell))
             rows = max(2, round(world.height / self.cell))
-            self._grids[world] = rasterize(world, cols, rows)
-        return self._grids[world]
+            grid = self._grids[world] = rasterize(world, cols, rows)
+        return grid
 
     def shortest(self, world: WorldSpec, start_xy, goal_xy) -> float:
         grid = self.grid(world)
         s = nearest_free_cell(grid, *grid.cell_of(*start_xy))
         g = nearest_free_cell(grid, *grid.cell_of(*goal_xy))
         key = (world, s, g)
-        if key not in self._lengths:
-            self._lengths[key] = astar_shortest(grid, s, g)
-        return self._lengths[key]
+        length = self._lengths.get(key)
+        if length is None:
+            length = self._lengths[key] = astar_shortest(grid, s, g)
+        return length

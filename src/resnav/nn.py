@@ -8,6 +8,7 @@ requested by passing rng=None, which is exactly equivalent to dropout_p=0.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .fileio import write_atomically
 
 CKPT_FORMAT = "ckpt/1"
 _CKPT_MAGIC = b"ckpt/1\n"
@@ -39,6 +41,9 @@ class Mlp:
     layer_sizes includes input and output, e.g. [21, 256, 256, 2]. With
     rng=None all parameters start at zero; otherwise hidden layers use He
     initialisation and the output layer small uniform weights.
+
+    All parameters live in one float64 vector, params (per layer: weights
+    row-major, then bias); weights[i] and biases[i] are views into it.
     """
 
     def __init__(
@@ -58,18 +63,32 @@ class Mlp:
         self.layer_sizes = sizes
         self.output_activation = output_activation
         self.dropout_p = float(dropout_p)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        last = len(sizes) - 2
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-            elif i == last:
-                w = rng.uniform(-_OUT_INIT_SCALE, _OUT_INIT_SCALE, (n_in, n_out))
+        self._bind(np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))))
+        if rng is None:
+            return
+        last = self.n_layers - 1
+        for i, w in enumerate(self.weights):
+            if i == last:
+                w[...] = rng.uniform(-_OUT_INIT_SCALE, _OUT_INIT_SCALE, w.shape)
             else:
-                w = rng.normal(0.0, math.sqrt(2.0 / n_in), (n_in, n_out))
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), w.shape)
+
+    def _layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views into a vector laid out like params."""
+        views = []
+        offset = 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            w = flat[offset:offset + n_in * n_out].reshape(n_in, n_out)
+            offset += n_in * n_out
+            views.append((w, flat[offset:offset + n_out]))
+            offset += n_out
+        return views
+
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        layers = self._layers(params)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
 
     @property
     def n_layers(self) -> int:
@@ -79,18 +98,9 @@ class Mlp:
     def n_hidden(self) -> int:
         return self.n_layers - 1
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays, weights then bias per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def copy(self) -> Mlp:
-        dup = Mlp(self.layer_sizes, self.output_activation, self.dropout_p, rng=None)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup = copy.copy(self)
+        dup._bind(self.params.copy())
         return dup
 
     def draw_masks(self, batch: int, rng: np.random.Generator | None) -> list[np.ndarray] | None:
@@ -142,25 +152,29 @@ class Mlp:
         for i in range(self.n_hidden):
             if trace is not None:
                 trace.inputs.append(h)
-            pre = h @ self.weights[i] + self.biases[i]
+            # in place on fresh arrays: fewer large temporaries to allocate
+            pre = h @ self.weights[i]
+            pre += self.biases[i]
             if trace is not None:
                 trace.relu_pos.append(pre > 0.0)
-            h = np.maximum(pre, 0.0)
+            h = np.maximum(pre, 0.0, out=pre)
             if masks is not None:
-                h = h * masks[i]
+                h *= masks[i]
         if trace is not None:
             trace.inputs.append(h)
-        pre = h @ self.weights[-1] + self.biases[-1]
-        return np.tanh(pre) if self.output_activation == "tanh" else pre
+        pre = h @ self.weights[-1]
+        pre += self.biases[-1]
+        return np.tanh(pre, out=pre) if self.output_activation == "tanh" else pre
 
     def backward(
-        self, trace: Trace, upstream: np.ndarray
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """Exact reverse-mode gradients for the traced forward pass.
 
-        upstream is dLoss/dOutput, shape (batch, out). Returns per-layer
-        (dW, db) plus dLoss/dInput. Gradients are summed over the batch;
-        put any 1/batch factor into upstream.
+        upstream is dLoss/dOutput, shape (batch, out). Returns a fresh
+        gradient vector laid out like params (None when param_grads is
+        False) plus dLoss/dInput. Gradients are summed over the batch; put
+        any 1/batch factor into upstream.
         """
         delta = np.asarray(upstream, dtype=np.float64)
         if delta.ndim == 1:
@@ -169,27 +183,26 @@ class Mlp:
             raise UsageError(f"upstream shape {delta.shape} does not match output {trace.output.shape}")
         if self.output_activation == "tanh":
             delta = delta * (1.0 - trace.output**2)
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers
+        grad = np.empty_like(self.params) if param_grads else None
+        layers = self._layers(grad) if param_grads else None
         for i in range(self.n_layers - 1, -1, -1):
-            grads[i] = (trace.inputs[i].T @ delta, delta.sum(axis=0))
+            if layers is not None:
+                dw, db = layers[i]
+                np.matmul(trace.inputs[i].T, delta, out=dw)
+                db[...] = delta.sum(axis=0)
             delta = delta @ self.weights[i].T
             if i > 0:
                 if trace.masks is not None:
-                    delta = delta * trace.masks[i - 1]
-                delta = delta * trace.relu_pos[i - 1]
-        return grads, delta
-
-    def grad_arrays(self, grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-        """Flatten backward() output to match parameters()."""
-        out = []
-        for dw, db in grads:
-            out.append(dw)
-            out.append(db)
-        return out
+                    delta *= trace.masks[i - 1]
+                delta *= trace.relu_pos[i - 1]
+        return grad, delta
 
 
 class Adam:
-    """Adam with bias correction, applied in place to a parameter list."""
+    """Adam with bias correction, applied in place to a parameter list.
+
+    Networks pass [net.params], so one step is a handful of vector ops.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -243,9 +256,8 @@ def polyak_update(target: Mlp, live: Mlp, tau: float) -> None:
     """target <- tau * live + (1 - tau) * target, parameter-wise."""
     if not 0.0 <= tau <= 1.0:
         raise ConfigurationError(f"tau must be in [0, 1], got {tau}")
-    for tp, lp in zip(target.parameters(), live.parameters()):
-        tp *= 1.0 - tau
-        tp += tau * lp
+    target.params *= 1.0 - tau
+    target.params += tau * live.params
 
 
 def save_checkpoint(net: Mlp, mode: str, path: str | Path) -> None:
@@ -258,12 +270,8 @@ def save_checkpoint(net: Mlp, mode: str, path: str | Path) -> None:
         "hidden_activation": "relu",
         "output_activation": net.output_activation,
     }
-    blob = bytearray()
-    for w, b in zip(net.weights, net.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    payload = _CKPT_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + bytes(blob)
-    Path(path).write_bytes(payload)
+    blob = np.ascontiguousarray(net.params, dtype="<f8").tobytes()
+    write_atomically(path, _CKPT_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[Mlp, str]:
@@ -288,13 +296,7 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, str]:
         raise ConfigurationError(f"{path}: unsupported hidden activation {header['hidden_activation']!r}")
     net = Mlp(header["layer_sizes"], header["output_activation"], header["dropout_p"], rng=None)
     blob = rest[nl + 1:]
-    need = sum(w.size + b.size for w, b in zip(net.weights, net.biases)) * 8
-    if len(blob) != need:
-        raise ConfigurationError(f"{path}: parameter blob is {len(blob)} bytes, expected {need}")
-    offset = 0
-    for w, b in zip(net.weights, net.biases):
-        for arr in (w, b):
-            n = arr.size * 8
-            arr[...] = np.frombuffer(blob[offset:offset + n], dtype="<f8").reshape(arr.shape)
-            offset += n
+    if len(blob) != net.params.nbytes:
+        raise ConfigurationError(f"{path}: parameter blob is {len(blob)} bytes, expected {net.params.nbytes}")
+    net.params[...] = np.frombuffer(blob, dtype="<f8")
     return net, str(header["mode"])

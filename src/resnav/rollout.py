@@ -8,6 +8,7 @@ world description, so a trajectory file is replottable on its own.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ import numpy as np
 
 from .env import NavEnv, StepResult, Terminal, discounted_return
 from .errors import ConfigurationError, UsageError
+from .fileio import write_atomically
 from .policy import PolicyOutput
 from .prior import Action
 from .world import world_from_dict, world_to_dict
@@ -139,6 +141,15 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def write_csv(path: str | Path, columns, rows) -> None:
+    """A header line, then one line of csv_cell values per row; replaced atomically."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows([csv_cell(v) for v in row] for row in rows)
+    write_atomically(path, text.getvalue())
+
+
 def meta_path_for(path: str | Path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
@@ -146,11 +157,7 @@ def meta_path_for(path: str | Path) -> Path:
 def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> None:
     """Write the step CSV and its .meta.json sidecar next to it."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJ_COLUMNS)
-        for row in record.rows:
-            writer.writerow([csv_cell(getattr(row, col)) for col in TRAJ_COLUMNS])
+    write_csv(path, TRAJ_COLUMNS, ([getattr(row, col) for col in TRAJ_COLUMNS] for row in record.rows))
     meta = {
         "format": TRAJ_FORMAT,
         "mode": record.mode,

@@ -20,10 +20,11 @@ from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .evaluation import spl_term
 from .grid import ShortestPathOracle
+from .fileio import write_atomically
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
 from .policy import EndToEndPolicy, ResidualPolicy
 from .prior import Action, PriorParams, compose_hybrid
-from .rollout import csv_cell, drive
+from .rollout import drive, write_csv
 from .world import WorldSpec
 
 ACTION_DIM = 2
@@ -75,22 +76,29 @@ class Td3Config:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with uniform sampling."""
+    """Fixed-capacity FIFO transition store with uniform sampling.
+
+    A transition is one row [obs | action | reward | next_obs | done] of one array.
+    """
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
         if capacity < 1:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.action = np.zeros((capacity, ACTION_DIM))
-        self.reward = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2))
+        self.obs, self.action, self.reward, self.next_obs, self.done = self._split(self.rows)
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
+
+    @staticmethod
+    def _split(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Column views (obs, action, reward, next_obs, done) of transition rows."""
+        d = (rows.shape[1] - ACTION_DIM - 2) // 2
+        a = d + ACTION_DIM
+        return rows[:, :d], rows[:, d:a], rows[:, a], rows[:, a + 1:a + 1 + d], rows[:, -1]
 
     def add(self, obs, action, reward, next_obs, done: float) -> None:
         i = self._cursor
@@ -105,8 +113,7 @@ class ReplayBuffer:
     def sample(self, rng: np.random.Generator, batch_size: int):
         if self._size < 1:
             raise UsageError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, self._size, batch_size)
-        return (self.obs[idx], self.action[idx], self.reward[idx], self.next_obs[idx], self.done[idx])
+        return self._split(self.rows[rng.integers(0, self._size, batch_size)])
 
 
 def bootstrap_mask(terminal: Terminal | None) -> float:
@@ -120,15 +127,14 @@ def bootstrap_mask(terminal: Terminal | None) -> float:
 
 @dataclass
 class Td3Nets:
+    """Actor and twin critics (Q1 is critics[0], Q2 critics[1]), their targets and optimisers."""
+
     actor: Mlp
     actor_target: Mlp
-    critic1: Mlp
-    critic2: Mlp
-    critic1_target: Mlp
-    critic2_target: Mlp
+    critics: tuple[Mlp, Mlp]
+    critics_target: tuple[Mlp, Mlp]
     adam_actor: Adam
-    adam_critic1: Adam
-    adam_critic2: Adam
+    adam_critics: tuple[Adam, Adam]
 
     @classmethod
     def build(cls, observation_dim: int, config: Td3Config, rng: np.random.Generator) -> Td3Nets:
@@ -142,16 +148,14 @@ class Td3Nets:
     @classmethod
     def from_networks(cls, actor: Mlp, critic1: Mlp, critic2: Mlp, config: Td3Config) -> Td3Nets:
         """Targets copied from the live networks, fresh optimiser state."""
+        critics = (critic1, critic2)
         return cls(
             actor=actor,
             actor_target=actor.copy(),
-            critic1=critic1,
-            critic2=critic2,
-            critic1_target=critic1.copy(),
-            critic2_target=critic2.copy(),
-            adam_actor=Adam(actor.parameters(), config.actor_lr),
-            adam_critic1=Adam(critic1.parameters(), config.critic_lr),
-            adam_critic2=Adam(critic2.parameters(), config.critic_lr),
+            critics=critics,
+            critics_target=tuple(c.copy() for c in critics),
+            adam_actor=Adam([actor.params], config.actor_lr),
+            adam_critics=tuple(Adam([c.params], config.critic_lr) for c in critics),
         )
 
 
@@ -163,19 +167,16 @@ def critic_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Genera
     np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
     next_action = np.clip(nets.actor_target.forward(next_obs) + noise, -1.0, 1.0)
     target_in = np.concatenate([next_obs, next_action], axis=1)
-    q_next = np.minimum(
-        nets.critic1_target.forward(target_in)[:, 0],
-        nets.critic2_target.forward(target_in)[:, 0],
-    )
+    q_next = np.minimum(*(target.forward(target_in)[:, 0] for target in nets.critics_target))
     y = reward + config.gamma * (1.0 - done) * q_next
 
     critic_in = np.concatenate([obs, action], axis=1)
     total = 0.0
-    for critic, adam in ((nets.critic1, nets.adam_critic1), (nets.critic2, nets.adam_critic2)):
+    for critic, adam in zip(nets.critics, nets.adam_critics):
         q, trace = critic.forward_trace(critic_in)
         err = q[:, 0] - y
-        grads, _ = critic.backward(trace, (2.0 / b) * err[:, None])
-        adam.step(critic.parameters(), critic.grad_arrays(grads))
+        grad, _ = critic.backward(trace, (2.0 / b) * err[:, None])
+        adam.step([critic.params], [grad])
         total += float(np.mean(err * err))
     return total / 2.0
 
@@ -186,16 +187,13 @@ def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generat
     b = obs.shape[0]
     use_dropout = config.dropout_in_actor_update and nets.actor.dropout_p > 0.0
     action, actor_trace = nets.actor.forward_trace(obs, rng=rng if use_dropout else None)
-    q, q_trace = nets.critic1.forward_trace(np.concatenate([obs, action], axis=1))
+    q1 = nets.critics[0]
+    q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
-    _, d_input = nets.critic1.backward(q_trace, np.full((b, 1), -1.0 / b))
-    grads, _ = nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:])
-    nets.adam_actor.step(nets.actor.parameters(), nets.actor.grad_arrays(grads))
-    for target, live in (
-        (nets.actor_target, nets.actor),
-        (nets.critic1_target, nets.critic1),
-        (nets.critic2_target, nets.critic2),
-    ):
+    _, d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b), param_grads=False)
+    grad, _ = nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:])
+    nets.adam_actor.step([nets.actor.params], [grad])
+    for target, live in ((nets.actor_target, nets.actor), *zip(nets.critics_target, nets.critics)):
         polyak_update(target, live, config.tau)
     return float(-np.mean(q))
 
@@ -221,11 +219,7 @@ class TrainResult:
 
 
 def write_training_log(rows: list[TrainLogRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_COLUMNS)
-        for r in rows:
-            writer.writerow([csv_cell(v) for v in astuple(r)])
+    write_csv(path, TRAIN_LOG_COLUMNS, map(astuple, rows))
 
 
 def read_training_log(path: str | Path) -> list[TrainLogRow]:
@@ -360,7 +354,7 @@ def train(
                     info = {"episode": ep, "step": total_steps, "critic_loss": closs, "seed": seed}
                     _dump_divergence(out_path, info)
                     raise TrainingDiverged(f"critic loss diverged at episode {ep}", info)
-                if nets.adam_critic1.t % config.policy_delay == 0:
+                if nets.adam_critics[0].t % config.policy_delay == 0:
                     aloss = actor_update(nets, batch, config, rng_update)
                     if not math.isfinite(aloss):
                         info = {"episode": ep, "step": total_steps, "actor_loss": aloss, "seed": seed}
@@ -397,10 +391,10 @@ def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRo
     snap = out_dir / "snapshot"
     snap.mkdir(exist_ok=True)
     save_checkpoint(nets.actor, mode, snap / "actor.ckpt")
-    save_checkpoint(nets.critic1, mode, snap / "critic1.ckpt")
-    save_checkpoint(nets.critic2, mode, snap / "critic2.ckpt")
+    for k, critic in enumerate(nets.critics, start=1):
+        save_checkpoint(critic, mode, snap / f"critic{k}.ckpt")
     write_training_log(log, snap / "train_log.csv")
-    (snap / "state.json").write_text(json.dumps({"episode": log[-1].episode, "mode": mode}) + "\n")
+    write_atomically(snap / "state.json", json.dumps({"episode": log[-1].episode, "mode": mode}) + "\n")
 
 
 def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets, int, list[TrainLogRow]]:

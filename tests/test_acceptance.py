@@ -225,20 +225,19 @@ def test_mlp_gradients_and_adam_match_references():
         if masks is not None:
             with_dropout += 1
         _, trace = net.forward_trace(x, np.random.default_rng(mask_seed))
-        grads = net.grad_arrays(net.backward(trace, loss_w)[0])
+        gflat = net.backward(trace, loss_w)[0]
         h = 1e-6
-        for arr, grad in zip(net.parameters(), grads):
-            flat, gflat = arr.reshape(-1), grad.reshape(-1)
-            for j in range(flat.size):
-                saved = flat[j]
-                flat[j] = saved + h
-                lp = float((net.forward_given_masks(x, masks) * loss_w).sum())
-                flat[j] = saved - h
-                lm = float((net.forward_given_masks(x, masks) * loss_w).sum())
-                flat[j] = saved
-                fd = (lp - lm) / (2.0 * h)
-                rel = abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-3)
-                worst_rel = max(worst_rel, rel)
+        flat = net.params
+        for j in range(flat.size):
+            saved = flat[j]
+            flat[j] = saved + h
+            lp = float((net.forward_given_masks(x, masks) * loss_w).sum())
+            flat[j] = saved - h
+            lm = float((net.forward_given_masks(x, masks) * loss_w).sum())
+            flat[j] = saved
+            fd = (lp - lm) / (2.0 * h)
+            rel = abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-3)
+            worst_rel = max(worst_rel, rel)
 
     worst_adam = 0.0
     for _ in range(50):

@@ -24,6 +24,7 @@ from resnav.env import (
     build_observation,
     compute_reward,
     discounted_return,
+    goal_polar,
 )
 from resnav.errors import ConfigurationError, UsageError
 from resnav.prior import Action
@@ -179,12 +180,12 @@ class TestObservation:
 
     def test_all_clear_bins_are_one(self):
         s = self.make_scan(np.full(180, 5.0))
-        obs = build_observation(s, Pose(0, 0, 0), (2.0, 0.0), Action(0, 0), Action(0.5, 0.1))
+        obs = build_observation(s, goal_polar(Pose(0, 0, 0), (2.0, 0.0)), Action(0, 0), Action(0.5, 0.1))
         assert np.all(obs[:N_BINS] == 1.0)
 
     def test_goal_dead_ahead(self):
         s = self.make_scan(np.full(180, 5.0))
-        obs = build_observation(s, Pose(1.0, 1.0, 0.0), (3.0, 1.0), Action(0, 0), Action(0, 0))
+        obs = build_observation(s, goal_polar(Pose(1.0, 1.0, 0.0), (3.0, 1.0)), Action(0, 0), Action(0, 0))
         assert obs[IDX_ANGLE_TO_GOAL] == 0.0
         assert obs[IDX_DIST_TO_GOAL] == pytest.approx(2.0)
 
@@ -192,7 +193,7 @@ class TestObservation:
         ranges = np.full(180, 5.0)
         ranges[3 * 12 + 7] = 2.5  # one member of bin 3
         s = self.make_scan(ranges)
-        obs = build_observation(s, Pose(0, 0, 0), (1.0, 0.0), Action(0, 0), Action(0, 0))
+        obs = build_observation(s, goal_polar(Pose(0, 0, 0), (1.0, 0.0)), Action(0, 0), Action(0, 0))
         # oracle: brute-force min per contiguous 12-ray block
         want = np.array([ranges[k * 12:(k + 1) * 12].min() / 5.0 for k in range(N_BINS)])
         assert np.array_equal(obs[:N_BINS], want)
@@ -202,13 +203,13 @@ class TestObservation:
         s = self.make_scan(np.full(180, 5.0))
         prev = Action(0.3, -0.4)
         prior = Action(0.8, 0.2)
-        obs = build_observation(s, Pose(0, 0, 0.5), (2.0, 2.0), prev, prior, mode="residual")
+        obs = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, prior, mode="residual")
         assert obs.shape == (RESIDUAL_OBS_DIM,)
         assert obs[IDX_PREV_V] == 0.3
         assert obs[IDX_PREV_OMEGA] == -0.4
         assert obs[IDX_PRIOR_V] == 0.8
         assert obs[IDX_PRIOR_OMEGA] == 0.2
-        e2e = build_observation(s, Pose(0, 0, 0.5), (2.0, 2.0), prev, None, mode="end_to_end")
+        e2e = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, None, mode="end_to_end")
         assert e2e.shape == (E2E_OBS_DIM,)
         assert np.array_equal(e2e, obs[:E2E_OBS_DIM])
 

@@ -21,6 +21,13 @@ def random_net(rng, sizes=None, output_activation=None, dropout_p=0.0) -> Mlp:
     return net
 
 
+def per_array(net: Mlp, flat):
+    """Split a vector laid out like net.params into its weight and bias arrays."""
+    shapes = [a.shape for pair in zip(net.weights, net.biases) for a in pair]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 def loss_and_grads(net: Mlp, x, target, masks):
     """Half squared error against a fixed target, with fixed dropout masks."""
     y = net.forward_given_masks(x, masks)
@@ -46,8 +53,8 @@ def analytic_grads(net: Mlp, x, target, masks):
         pre = h @ net.weights[-1] + net.biases[-1]
         trace.output = np.tanh(pre) if net.output_activation == "tanh" else pre
     upstream = trace.output - np.atleast_2d(target)
-    grads, _ = net.backward(trace, upstream)
-    return net.grad_arrays(grads)
+    grad, _ = net.backward(trace, upstream)
+    return per_array(net, grad)
 
 
 class TestForward:
@@ -98,22 +105,17 @@ class TestGradients:
         return np.abs(a - b).max() / denom
 
     def finite_diff(self, net, x, target, masks, eps=1e-6):
-        outs = []
-        for p in net.parameters():
-            g = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + eps
-                lo_hi = loss_and_grads(net, x, target, masks)
-                p[idx] = orig - eps
-                lo_lo = loss_and_grads(net, x, target, masks)
-                p[idx] = orig
-                g[idx] = (lo_hi - lo_lo) / (2 * eps)
-                it.iternext()
-            outs.append(g)
-        return outs
+        p = net.params
+        g = np.zeros_like(p)
+        for idx in range(p.size):
+            orig = p[idx]
+            p[idx] = orig + eps
+            lo_hi = loss_and_grads(net, x, target, masks)
+            p[idx] = orig - eps
+            lo_lo = loss_and_grads(net, x, target, masks)
+            p[idx] = orig
+            g[idx] = (lo_hi - lo_lo) / (2 * eps)
+        return per_array(net, g)
 
     def test_gradcheck_deterministic(self):
         rng = np.random.default_rng(10)
@@ -149,7 +151,7 @@ class TestGradients:
         def grads_for(batch_x, batch_t):
             y, trace = net.forward_trace(batch_x)
             g, _ = net.backward(trace, y - batch_t)
-            return net.grad_arrays(g)
+            return per_array(net, g)
 
         single = grads_for(x[None, :], t[None, :])
         double = grads_for(np.stack([x, x]), np.stack([t, t]))
@@ -169,6 +171,15 @@ class TestGradients:
             xm = x.copy(); xm[i] -= eps
             want = (net.forward(xp).sum() - net.forward(xm).sum()) / (2 * eps)
             assert dx[0, i] == pytest.approx(want, abs=1e-6)
+
+    def test_input_only_backward_matches_full(self):
+        rng = np.random.default_rng(81)
+        net = random_net(rng, sizes=[5, 7, 7, 1], dropout_p=0.3)
+        _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
+        upstream = rng.normal(size=(9, 1))
+        grad, dx = net.backward(trace, upstream, param_grads=False)
+        assert grad is None
+        assert np.array_equal(dx, net.backward(trace, upstream)[1])
 
 
 class TestAdam:
@@ -195,6 +206,19 @@ class TestAdam:
         after_one = p[0][0]
         opt.step(p, [np.array([0.0])])
         assert p[0][0] != after_one
+
+    def test_flat_vector_matches_per_array_steps(self):
+        rng = np.random.default_rng(70)
+        net = Mlp([5, 8, 8, 2], "tanh", rng=rng)
+        ref = net.params.copy()
+        arrays = per_array(net, ref)
+        flat_opt = Adam([net.params], lr=1e-2)
+        per_opt = Adam(arrays, lr=1e-2)
+        for _ in range(5):
+            g = rng.normal(size=net.params.shape)
+            flat_opt.step([net.params], [g])
+            per_opt.step(arrays, per_array(net, g))
+        assert np.array_equal(net.params, ref)
 
 
 class TestMcStatistics:
@@ -276,8 +300,7 @@ class TestCheckpoint:
         assert loaded.layer_sizes == net.layer_sizes
         assert loaded.dropout_p == net.dropout_p
         assert loaded.output_activation == net.output_activation
-        for a, b in zip(net.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.params, loaded.params)
         # saving again produces identical bytes
         save_checkpoint(loaded, "residual", tmp_path / "again.ckpt")
         assert (tmp_path / "actor.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
@@ -303,22 +326,19 @@ class TestPolyak:
         rng = np.random.default_rng(50)
         live = Mlp([3, 5, 2], "tanh", rng=rng)
         target = Mlp([3, 5, 2], "tanh", rng=rng)
-        before = [p.copy() for p in target.parameters()]
+        before = target.params.copy()
         polyak_update(target, live, tau=0.005)
-        for tb, tp, lp in zip(before, target.parameters(), live.parameters()):
-            assert np.allclose(tp, 0.005 * lp + 0.995 * tb, atol=1e-15)
+        assert np.allclose(target.params, 0.005 * live.params + 0.995 * before, atol=1e-15)
 
     def test_tau_one_copies_tau_zero_freezes(self):
         rng = np.random.default_rng(51)
         live = Mlp([2, 4, 1], "identity", rng=rng)
         target = Mlp([2, 4, 1], "identity", rng=rng)
-        frozen = [p.copy() for p in target.parameters()]
+        frozen = target.params.copy()
         polyak_update(target, live, tau=0.0)
-        for a, b in zip(target.parameters(), frozen):
-            assert np.array_equal(a, b)
+        assert np.array_equal(target.params, frozen)
         polyak_update(target, live, tau=1.0)
-        for a, b in zip(target.parameters(), live.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(target.params, live.params)
 
 
 class TestInit:

@@ -10,7 +10,7 @@ from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal, obs_dim
 from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
 from resnav.evaluation import evaluate
 from resnav.grid import ShortestPathOracle
-from resnav.nn import Adam, Mlp
+from resnav.nn import Adam, Mlp, load_checkpoint, polyak_update
 from resnav.policy import EndToEndPolicy, ResidualPolicy
 from resnav.prior import Action
 from resnav.td3 import (
@@ -18,7 +18,9 @@ from resnav.td3 import (
     Td3Config,
     Td3Nets,
     TrainLogRow,
+    _load_snapshot,
     _periodic_eval,
+    _save_snapshot,
     actor_update,
     bootstrap_mask,
     compose_hybrid,
@@ -99,6 +101,16 @@ class TestReplayBuffer:
             seen.update(buf.sample(rng, 8)[2].tolist())
         assert seen == {7.0, 9.0}
 
+    def test_sample_gathers_whole_transitions(self):
+        rng = np.random.default_rng(4)
+        buf = ReplayBuffer(16, obs_dim=3)
+        for _ in range(10):
+            buf.add(rng.normal(size=3), rng.normal(size=2), rng.normal(), rng.normal(size=3), rng.normal())
+        got = buf.sample(np.random.default_rng(5), 7)
+        idx = np.random.default_rng(5).integers(0, 10, 7)
+        for arr, field in zip(got, (buf.obs, buf.action, buf.reward, buf.next_obs, buf.done)):
+            assert np.array_equal(arr, field[idx])
+
     def test_empty_sample_rejected(self):
         buf = ReplayBuffer(4, obs_dim=2)
         with pytest.raises(UsageError):
@@ -127,8 +139,8 @@ class TestCriticUpdate:
     def test_terminal_target_is_reward_only(self):
         config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
         nets = zeroed_nets(3, config)
-        nets.critic1_target.biases[-1][:] = 5.0
-        nets.critic2_target.biases[-1][:] = 5.0
+        nets.critics_target[0].biases[-1][:] = 5.0
+        nets.critics_target[1].biases[-1][:] = 5.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.7, np.ones(3), done=1.0)
         loss = critic_update(nets, batch, config, np.random.default_rng(0))
         assert loss == pytest.approx(0.7**2, abs=1e-12)
@@ -136,8 +148,8 @@ class TestCriticUpdate:
     def test_bootstrap_uses_the_smaller_twin(self):
         config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
         nets = zeroed_nets(3, config)
-        nets.critic1_target.biases[-1][:] = 2.0
-        nets.critic2_target.biases[-1][:] = -3.0
+        nets.critics_target[0].biases[-1][:] = 2.0
+        nets.critics_target[1].biases[-1][:] = -3.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.5, np.ones(3), done=0.0)
         y = 0.5 + 0.9 * (-3.0)
         loss = critic_update(nets, batch, config, np.random.default_rng(0))
@@ -146,8 +158,8 @@ class TestCriticUpdate:
     def test_timeout_transition_keeps_bootstrap(self):
         config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
         nets = zeroed_nets(3, config)
-        nets.critic1_target.biases[-1][:] = 4.0
-        nets.critic2_target.biases[-1][:] = 4.0
+        nets.critics_target[0].biases[-1][:] = 4.0
+        nets.critics_target[1].biases[-1][:] = 4.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.0, np.ones(3), done=0.0)
         loss = critic_update(nets, batch, config, np.random.default_rng(0))
         assert loss == pytest.approx((0.9 * 4.0) ** 2, abs=1e-12)
@@ -161,7 +173,7 @@ class TestCriticUpdate:
         batch = one_sample_batch(obs, action, 1.0, rng.uniform(-1.0, 1.0, 6), done=1.0)
         for _ in range(500):
             critic_update(nets, batch, config, rng)
-        q = nets.critic1.forward(np.concatenate([obs, action]))
+        q = nets.critics[0].forward(np.concatenate([obs, action]))
         assert q[0] == pytest.approx(1.0, abs=0.05)
 
 
@@ -170,12 +182,12 @@ def fit_critic_to_function(critic: Mlp, target_fn, obs_dim: int, rng, steps=1500
     actions = rng.uniform(-1.0, 1.0, (n, 2))
     x = np.concatenate([np.zeros((n, obs_dim)), actions], axis=1)
     y = np.array([target_fn(a) for a in actions])
-    adam = Adam(critic.parameters(), 1e-2)
+    adam = Adam([critic.params], 1e-2)
     for _ in range(steps):
         q, trace = critic.forward_trace(x)
         err = q[:, 0] - y
-        grads, _ = critic.backward(trace, (2.0 / n) * err[:, None])
-        adam.step(critic.parameters(), critic.grad_arrays(grads))
+        grad, _ = critic.backward(trace, (2.0 / n) * err[:, None])
+        adam.step([critic.params], [grad])
 
 
 class TestActorUpdate:
@@ -197,14 +209,7 @@ class TestActorUpdate:
 
         config = small_config(actor_lr=1e-2, dropout_p=0.0, tau=0.005)
         actor = Mlp([obs_dim, 16, 16, 2], "tanh", 0.0, rng=rng)
-        nets = Td3Nets(
-            actor=actor, actor_target=actor.copy(),
-            critic1=critic, critic2=critic.copy(),
-            critic1_target=critic.copy(), critic2_target=critic.copy(),
-            adam_actor=Adam(actor.parameters(), config.actor_lr),
-            adam_critic1=Adam(critic.parameters(), config.critic_lr),
-            adam_critic2=Adam(critic.parameters(), config.critic_lr),
-        )
+        nets = Td3Nets.from_networks(actor, critic, critic.copy(), config)
         batch = (np.zeros((8, obs_dim)), None, None, None, None)
         for _ in range(800):
             actor_update(nets, batch, config, rng)
@@ -215,24 +220,17 @@ class TestActorUpdate:
         config = small_config(tau=0.1, dropout_p=0.0)
         rng = np.random.default_rng(2)
         nets = Td3Nets.build(3, config, rng)
-        old = {
-            name: [p.copy() for p in net.parameters()]
-            for name, net in (
-                ("actor", nets.actor_target),
-                ("c1", nets.critic1_target),
-                ("c2", nets.critic2_target),
-            )
+        pairs = {
+            "actor": (nets.actor_target, nets.actor),
+            "c1": (nets.critics_target[0], nets.critics[0]),
+            "c2": (nets.critics_target[1], nets.critics[1]),
         }
+        old = {name: target.params.copy() for name, (target, _) in pairs.items()}
         batch = (rng.normal(size=(4, 3)), None, None, None, None)
         actor_update(nets, batch, config, rng)
-        for name, target, live in (
-            ("actor", nets.actor_target, nets.actor),
-            ("c1", nets.critic1_target, nets.critic1),
-            ("c2", nets.critic2_target, nets.critic2),
-        ):
-            for before, now, src in zip(old[name], target.parameters(), live.parameters()):
-                want = (1.0 - config.tau) * before + config.tau * src
-                assert np.allclose(now, want, atol=1e-15), name
+        for name, (target, live) in pairs.items():
+            want = (1.0 - config.tau) * old[name] + config.tau * live.params
+            assert np.allclose(target.params, want, atol=1e-15), name
 
     def test_dropout_flag_controls_stochasticity(self):
         config = small_config(dropout_p=0.5, dropout_in_actor_update=False)
@@ -242,8 +240,97 @@ class TestActorUpdate:
         batch = (rng.normal(size=(16, 3)), None, None, None, None)
         actor_update(nets_a, batch, config, np.random.default_rng(10))
         actor_update(nets_b, batch, config, np.random.default_rng(99))
-        for pa, pb in zip(nets_a.actor.parameters(), nets_b.actor.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(nets_a.actor.params, nets_b.actor.params)
+
+
+def reference_updates(nets: Td3Nets, config: Td3Config):
+    """Plain per-critic copies of nets with the TD3 updates written one critic at a time."""
+    actor, actor_target = nets.actor.copy(), nets.actor_target.copy()
+    critics = [c.copy() for c in nets.critics]
+    targets = [c.copy() for c in nets.critics_target]
+    adam_actor = Adam([actor.params], config.actor_lr)
+    adam_critics = [Adam([c.params], config.critic_lr) for c in critics]
+
+    def critic_step(batch, rng):
+        obs, action, reward, next_obs, done = batch
+        b = obs.shape[0]
+        noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, 2))
+        np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
+        next_action = np.clip(actor_target.forward(next_obs) + noise, -1.0, 1.0)
+        target_in = np.concatenate([next_obs, next_action], axis=1)
+        q_next = np.minimum(targets[0].forward(target_in)[:, 0], targets[1].forward(target_in)[:, 0])
+        y = reward + config.gamma * (1.0 - done) * q_next
+        total = 0.0
+        for critic, adam in zip(critics, adam_critics):
+            q, trace = critic.forward_trace(np.concatenate([obs, action], axis=1))
+            err = q[:, 0] - y
+            grad, _ = critic.backward(trace, (2.0 / b) * err[:, None])
+            adam.step([critic.params], [grad])
+            total += float(np.mean(err * err))
+        return total / 2.0
+
+    def actor_step(batch, rng):
+        obs = batch[0]
+        b = obs.shape[0]
+        action, actor_trace = actor.forward_trace(obs, rng=rng)
+        q, q_trace = critics[0].forward_trace(np.concatenate([obs, action], axis=1))
+        _, d_input = critics[0].backward(q_trace, np.full((b, 1), -1.0 / b))
+        grad, _ = actor.backward(actor_trace, d_input[:, obs.shape[1]:])
+        adam_actor.step([actor.params], [grad])
+        for target, live in ((actor_target, actor), *zip(targets, critics)):
+            polyak_update(target, live, config.tau)
+        return float(-np.mean(q))
+
+    networks = {"actor": actor, "actor_target": actor_target, "critics": critics, "targets": targets}
+    return critic_step, actor_step, networks
+
+
+class TestTwinCritics:
+    def test_build_draws_actor_then_each_critic_in_turn(self):
+        config = small_config(hidden_sizes=(16, 16))
+        nets = Td3Nets.build(5, config, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        actor = Mlp([5, 16, 16, 2], "tanh", config.dropout_p, rng=rng)
+        critic1 = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
+        critic2 = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
+        assert np.array_equal(nets.actor.params, actor.params)
+        assert np.array_equal(nets.critics[0].params, critic1.params)
+        assert np.array_equal(nets.critics[1].params, critic2.params)
+        for target, critic in zip(nets.critics_target, nets.critics):
+            assert np.array_equal(target.params, critic.params)
+
+    def test_updates_equal_a_per_critic_reference(self):
+        config = small_config(hidden_sizes=(16, 16), dropout_p=0.2, tau=0.05)
+        rng = np.random.default_rng(21)
+        nets = Td3Nets.build(5, config, rng)
+        buf = ReplayBuffer(64, obs_dim=5)
+        for _ in range(40):
+            buf.add(rng.normal(size=5), rng.uniform(-1, 1, 2), float(rng.random() < 0.3),
+                    rng.normal(size=5), float(rng.random() < 0.2))
+        critic_step, actor_step, ref = reference_updates(nets, config)
+        for i in range(3):  # later rounds start from targets that differ from the live nets
+            batch = buf.sample(np.random.default_rng(i), 16)
+            assert critic_update(nets, batch, config, np.random.default_rng(10 + i)) == \
+                critic_step(batch, np.random.default_rng(10 + i))
+            assert actor_update(nets, batch, config, np.random.default_rng(20 + i)) == \
+                actor_step(batch, np.random.default_rng(20 + i))
+        assert np.array_equal(nets.actor.params, ref["actor"].params)
+        assert np.array_equal(nets.actor_target.params, ref["actor_target"].params)
+        for k in (0, 1):
+            assert np.array_equal(nets.critics[k].params, ref["critics"][k].params)
+            assert np.array_equal(nets.critics_target[k].params, ref["targets"][k].params)
+
+    def test_snapshot_round_trips_both_critics(self, tmp_path):
+        config = small_config()
+        nets = Td3Nets.build(obs_dim("residual"), config, np.random.default_rng(3))
+        _save_snapshot(tmp_path, nets, "residual", [TrainLogRow(1, 5, 0.5, 0, 0.0)])
+        for k in (0, 1):
+            critic, _ = load_checkpoint(tmp_path / "snapshot" / f"critic{k + 1}.ckpt")
+            assert np.array_equal(critic.params, nets.critics[k].params)
+        loaded, _, _ = _load_snapshot(tmp_path, obs_dim("residual"), config)
+        for k in (0, 1):
+            assert np.array_equal(loaded.critics[k].params, nets.critics[k].params)
+        assert np.array_equal(loaded.actor.params, nets.actor.params)
 
 
 class TestTrain:
