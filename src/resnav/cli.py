@@ -15,6 +15,7 @@ from .config import ExperimentConfig, load_config, save_config
 from .env import EVAL_SEED_OFFSET, NavEnv
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .evaluation import evaluate
+from .fileio import write_atomically
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell
 from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
@@ -187,7 +188,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out) if args.out else Path(config.out_dir) / f"eval_{args.worlds}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
     report = result.report()
-    (out / "report.txt").write_text(report)
+    write_atomically(out / "report.txt", report)
     result.write_episode_csv(out / "episodes.csv")
     print(report, end="")
     print(f"written: {out / 'report.txt'}, {out / 'episodes.csv'}")

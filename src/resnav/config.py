@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError
+from .fileio import write_atomically
 from .prior import PriorParams
 from .td3 import Td3Config
 from .worldgen import WorldGenParams
@@ -167,7 +168,7 @@ def config_to_json(config: ExperimentConfig) -> str:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(config_to_json(config))
+    write_atomically(path, config_to_json(config))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -95,56 +95,62 @@ def astar_path(
     length is the exact minimum over float-accumulated step costs.
     """
     cell = grid.cell_size
-    occ = grid.occupied
-    rows, cols = occ.shape
+    rows, cols = grid.occupied.shape
     for name, (ix, iy) in (("start", start), ("goal", goal)):
         if not (0 <= ix < cols and 0 <= iy < rows):
             raise UsageError(f"{name} cell {(ix, iy)} outside grid {cols} x {rows}")
-        if occ[iy, ix]:
+        if grid.occupied[iy, ix]:
             raise UsageError(f"{name} cell {(ix, iy)} is occupied")
     if start == goal:
         return (0.0, [start])
 
+    # Flat row-major state over the grid padded by one blocked cell on every
+    # side: cell (ix, iy) is index (iy + 1) * stride + ix + 1, and a move off
+    # the grid lands on a blocked cell.
+    stride = cols + 2
+    blocked = np.pad(grid.occupied, 1, constant_values=True).tobytes()
+    g = [math.inf] * len(blocked)
+    parent = [-1] * len(blocked)
+    # (index offset, dx, dy, step cost in cells)
+    moves = [(dy * stride + dx, dx, dy, SQRT2 if dx and dy else 1.0)
+             for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
     gx, gy = goal
-    g = np.full((rows, cols), np.inf)
-    parent = np.full((rows, cols), -1, dtype=np.int64)
-    g[start[1], start[0]] = 0.0
+    g[(start[1] + 1) * stride + start[0] + 1] = 0.0
     heap: list[tuple[float, float, int, int]] = [(_octile(start[0], start[1], gx, gy), 0.0, start[0], start[1])]
-    best = np.inf
+    best = math.inf
     while heap:
         f, gc, ix, iy = heapq.heappop(heap)
         if f >= best:
             break
-        if gc > g[iy, ix]:
+        i = (iy + 1) * stride + ix + 1
+        if gc > g[i]:
             continue  # stale entry
         if ix == gx and iy == gy:
             best = gc
             continue
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
+        for offset, dx, dy, step in moves:
+            n = i + offset
+            if blocked[n]:
+                continue
+            if dx and dy and (blocked[i + dx] or blocked[n - dx]):
+                continue  # no corner cutting
+            g2 = gc + step
+            if g2 < g[n]:
+                g[n] = g2
+                parent[n] = i
                 nx, ny = ix + dx, iy + dy
-                if not (0 <= nx < cols and 0 <= ny < rows) or occ[ny, nx]:
-                    continue
-                if dx != 0 and dy != 0:
-                    if occ[iy, nx] or occ[ny, ix]:
-                        continue  # no corner cutting
-                    step = SQRT2
-                else:
-                    step = 1.0
-                g2 = gc + step
-                if g2 < g[ny, nx]:
-                    g[ny, nx] = g2
-                    parent[ny, nx] = iy * cols + ix
-                    heapq.heappush(heap, (g2 + _octile(nx, ny, gx, gy), g2, nx, ny))
+                # _octile(nx, ny, gx, gy), inlined: this push is the hottest line
+                hx = nx - gx if nx > gx else gx - nx
+                hy = ny - gy if ny > gy else gy - ny
+                lo = hx if hx < hy else hy
+                heapq.heappush(heap, (g2 + ((hx + hy - 2 * lo) + SQRT2 * lo), g2, nx, ny))
     if not math.isfinite(best):
         return (math.inf, [])
     path = [goal]
     node = goal
     while node != start:
-        enc = parent[node[1], node[0]]
-        node = (int(enc % cols), int(enc // cols))
+        enc = parent[(node[1] + 1) * stride + node[0] + 1]
+        node = (enc % stride - 1, enc // stride - 1)
         path.append(node)
     path.reverse()
     return (best * cell, path)

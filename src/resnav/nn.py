@@ -167,14 +167,15 @@ class Mlp:
         return np.tanh(pre, out=pre) if self.output_activation == "tanh" else pre
 
     def backward(
-        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True
-    ) -> tuple[np.ndarray | None, np.ndarray]:
+        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Exact reverse-mode gradients for the traced forward pass.
 
         upstream is dLoss/dOutput, shape (batch, out). Returns a fresh
         gradient vector laid out like params (None when param_grads is
-        False) plus dLoss/dInput. Gradients are summed over the batch; put
-        any 1/batch factor into upstream.
+        False) plus dLoss/dInput (None when input_grad is False, which
+        skips the first layer's input product). Gradients are summed over
+        the batch; put any 1/batch factor into upstream.
         """
         delta = np.asarray(upstream, dtype=np.float64)
         if delta.ndim == 1:
@@ -190,6 +191,8 @@ class Mlp:
                 dw, db = layers[i]
                 np.matmul(trace.inputs[i].T, delta, out=dw)
                 db[...] = delta.sum(axis=0)
+            if i == 0 and not input_grad:
+                return grad, None
             delta = delta @ self.weights[i].T
             if i > 0:
                 if trace.masks is not None:

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigurationError, UsageError
+from .fileio import write_atomically
 from .rollout import TrajectoryRow
 from .td3 import TrainLogRow
 from .world import Circle, Rect, WorldSpec
@@ -90,7 +91,7 @@ class _Svg:
 def _write(svg: _Svg, path: str | Path | None) -> str:
     text = svg.render()
     if path is not None:
-        Path(path).write_text(text)
+        write_atomically(path, text)
     return text
 
 

@@ -172,7 +172,7 @@ def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> Non
         "goal_radius": env.episode.d_threshold,
         "world": world_to_dict(env.world),
     }
-    meta_path_for(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_atomically(meta_path_for(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_cell(name: str, raw: str, lineno: int, path) -> float | bool | int | None:

@@ -175,7 +175,7 @@ def critic_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Genera
     for critic, adam in zip(nets.critics, nets.adam_critics):
         q, trace = critic.forward_trace(critic_in)
         err = q[:, 0] - y
-        grad, _ = critic.backward(trace, (2.0 / b) * err[:, None])
+        grad, _ = critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False)
         adam.step([critic.params], [grad])
         total += float(np.mean(err * err))
     return total / 2.0
@@ -191,7 +191,7 @@ def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generat
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
     _, d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b), param_grads=False)
-    grad, _ = nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:])
+    grad, _ = nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False)
     nets.adam_actor.step([nets.actor.params], [grad])
     for target, live in ((nets.actor_target, nets.actor), *zip(nets.critics_target, nets.critics)):
         polyak_update(target, live, config.tau)
@@ -269,7 +269,7 @@ def _periodic_eval(envs, actor: Mlp, mode: str, n_episodes: int, oracle: Shortes
 
 def _dump_divergence(out_dir: Path | None, info: dict) -> None:
     if out_dir is not None:
-        (out_dir / "divergence.json").write_text(json.dumps(info, indent=2, sort_keys=True) + "\n")
+        write_atomically(out_dir / "divergence.json", json.dumps(info, indent=2, sort_keys=True) + "\n")
 
 
 def train(

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
+from .fileio import write_atomically
 
 WORLD_FORMAT = "world/1"
 TWO_PI = 2.0 * math.pi
@@ -188,8 +189,8 @@ class WorldSpec:
         _validate_world(self)
 
     @cached_property
-    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Wall and rectangle-edge segments as (origins P, extents Q-P)."""
+    def _segment_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Wall and rectangle-edge segments as (S, 1) columns: origin P, extent Q-P."""
         w, h = self.width, self.height
         corners = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
         segs = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
@@ -203,18 +204,22 @@ class WorldSpec:
                 ]
                 segs.extend((cs[i], cs[(i + 1) % 4]) for i in range(4))
         p = np.array([s[0] for s in segs], dtype=np.float64)
-        q = np.array([s[1] for s in segs], dtype=np.float64)
-        e = q - p
-        p.flags.writeable = False
-        e.flags.writeable = False
-        return (p, e)
+        e = np.array([s[1] for s in segs], dtype=np.float64) - p
+        return _read_only_columns(p[:, 0], p[:, 1], e[:, 0], e[:, 1])
 
     @cached_property
-    def _circles(self) -> np.ndarray:
+    def _circle_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Circle obstacles as (C, 1) columns: centre x, centre y, radius squared."""
         cs = [(c.cx, c.cy, c.r) for c in self.obstacles if isinstance(c, Circle)]
         arr = np.array(cs, dtype=np.float64).reshape(len(cs), 3)
-        arr.flags.writeable = False
-        return arr
+        return _read_only_columns(arr[:, 0], arr[:, 1], arr[:, 2] ** 2)
+
+
+def _read_only_columns(*vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    cols = tuple(np.ascontiguousarray(v)[:, None] for v in vectors)
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
 
 def _shape_in_arena(shape: Shape, width: float, height: float) -> bool:
@@ -252,39 +257,50 @@ def raycast_angles(
     """Cast rays from (x, y) at absolute angles; nearest hit per ray.
 
     Returns distances clamped to max_range.  Walls bound every ray, so a
-    ray from inside the arena always has a finite hit.
+    ray from inside the arena always has a finite hit.  Work arrays are
+    laid out (shapes, rays), so the nearest hit is a reduction over
+    contiguous rows.
     """
     dx = np.cos(angles)
     dy = np.sin(angles)
-    best = np.full(angles.shape, np.inf)
 
-    p, e = world._segments
-    if p.shape[0]:
-        diff_x = p[:, 0] - x
-        diff_y = p[:, 1] - y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = dx[:, None] * e[None, :, 1] - dy[:, None] * e[None, :, 0]
-            t_num = diff_x * e[:, 1] - diff_y * e[:, 0]
-            t = t_num[None, :] / denom
-            u = (diff_x[None, :] * dy[:, None] - diff_y[None, :] * dx[:, None]) / denom
-        hit = (np.abs(denom) > _EPS_PARALLEL) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
-        best = np.where(hit, t, np.inf).min(axis=1)
+    px, py, ex, ey = world._segment_columns  # the four walls are always there
+    diff_x = px - x
+    diff_y = py - y
+    t_num = diff_x * ey - diff_y * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = ey * dx
+        denom -= ex * dy
+        t = t_num / denom
+        u = diff_x * dy
+        u -= diff_y * dx
+        u /= denom
+    hit = np.abs(denom) > _EPS_PARALLEL
+    hit &= t >= 0.0
+    hit &= u >= 0.0
+    hit &= u <= 1.0
+    np.putmask(t, ~hit, np.inf)
+    best = t.min(axis=0)
 
-    circles = world._circles
-    if circles.shape[0]:
-        ocx = x - circles[:, 0]
-        ocy = y - circles[:, 1]
-        b = dx[:, None] * ocx[None, :] + dy[:, None] * ocy[None, :]
-        c0 = ocx * ocx + ocy * ocy - circles[:, 2] ** 2
-        disc = b * b - c0[None, :]
+    cx, cy, r2 = world._circle_columns
+    if cx.shape[0]:
+        ocx = x - cx
+        ocy = y - cy
+        b = ocx * dx
+        b += ocy * dy
+        c0 = ocx * ocx + ocy * ocy - r2
+        disc = b * b
+        disc -= c0
         sq = np.sqrt(np.maximum(disc, 0.0))
-        t1 = -b - sq
-        t2 = -b + sq
-        t = np.where(t1 >= 0.0, t1, t2)
-        hit = (disc >= 0.0) & (t >= 0.0)
-        best = np.minimum(best, np.where(hit, t, np.inf).min(axis=1))
+        np.negative(b, out=b)
+        t1 = b - sq
+        t = np.where(t1 >= 0.0, t1, b + sq)
+        hit = disc >= 0.0
+        hit &= t >= 0.0
+        np.putmask(t, ~hit, np.inf)
+        np.minimum(best, t.min(axis=0), out=best)
 
-    return np.minimum(best, max_range)
+    return np.minimum(best, max_range, out=best)
 
 
 def raycast(origin: Pose, ray_angle: float, max_range: float, world: WorldSpec) -> float:
@@ -377,7 +393,7 @@ def world_to_json(world: WorldSpec) -> str:
 
 
 def save_world(world: WorldSpec, path: str | Path) -> None:
-    Path(path).write_text(world_to_json(world))
+    write_atomically(path, world_to_json(world))
 
 
 def load_world(path: str | Path) -> WorldSpec:

@@ -7,6 +7,8 @@ from resnav import fileio
 from resnav.fileio import write_atomically
 from resnav.nn import Mlp, load_checkpoint, save_checkpoint
 from resnav.td3 import TrainLogRow, read_training_log, write_training_log
+from resnav.world import load_world, save_world
+from resnav.worldgen import WorldGenParams, generate_suite
 
 
 class Unconvertible:
@@ -63,3 +65,20 @@ def test_checkpoint_survives_a_failed_rewrite(tmp_path):
     loaded, mode = load_checkpoint(path)
     assert mode == "residual" and np.array_equal(loaded.params, net.params)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["actor.ckpt"]
+
+
+def test_world_survives_a_failed_rewrite(tmp_path, monkeypatch):
+    old, new = generate_suite(WorldGenParams(), 2, 4)
+    path = tmp_path / "world_000.json"
+    save_world(old, path)
+    before = path.read_bytes()
+
+    def crash(fd):
+        raise OSError("simulated crash after the new world reached the temp file")
+
+    monkeypatch.setattr(fileio.os, "fsync", crash)
+    with pytest.raises(OSError):
+        save_world(new, path)
+    assert path.read_bytes() == before
+    assert load_world(path) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["world_000.json"]

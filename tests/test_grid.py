@@ -44,6 +44,65 @@ def dijkstra_reference(occ: np.ndarray, start, goal) -> float:
     return float(dist[goal[1], goal[0]])
 
 
+def _octile(ix: int, iy: int, gx: int, gy: int) -> float:
+    dx = abs(ix - gx)
+    dy = abs(iy - gy)
+    lo = min(dx, dy)
+    return (dx + dy - 2 * lo) + SQRT2 * lo
+
+
+def reference_astar_path(grid: OccupancyGrid, start, goal):
+    """A* with numpy-indexed state: the same search, tie-breaks and float
+    arithmetic as astar_path, without its flat padded layout."""
+    occ = grid.occupied
+    rows, cols = occ.shape
+    if start == goal:
+        return (0.0, [start])
+    gx, gy = goal
+    g = np.full((rows, cols), np.inf)
+    parent = np.full((rows, cols), -1, dtype=np.int64)
+    g[start[1], start[0]] = 0.0
+    heap = [(_octile(start[0], start[1], gx, gy), 0.0, start[0], start[1])]
+    best = np.inf
+    while heap:
+        f, gc, ix, iy = heapq.heappop(heap)
+        if f >= best:
+            break
+        if gc > g[iy, ix]:
+            continue
+        if ix == gx and iy == gy:
+            best = gc
+            continue
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy == 0:
+                    continue
+                nx, ny = ix + dx, iy + dy
+                if not (0 <= nx < cols and 0 <= ny < rows) or occ[ny, nx]:
+                    continue
+                if dx != 0 and dy != 0:
+                    if occ[iy, nx] or occ[ny, ix]:
+                        continue
+                    step = SQRT2
+                else:
+                    step = 1.0
+                g2 = gc + step
+                if g2 < g[ny, nx]:
+                    g[ny, nx] = g2
+                    parent[ny, nx] = iy * cols + ix
+                    heapq.heappush(heap, (g2 + _octile(nx, ny, gx, gy), g2, nx, ny))
+    if not math.isfinite(best):
+        return (math.inf, [])
+    path = [goal]
+    node = goal
+    while node != start:
+        enc = parent[node[1], node[0]]
+        node = (int(enc % cols), int(enc // cols))
+        path.append(node)
+    path.reverse()
+    return (best * grid.cell_size, path)
+
+
 def grid_from_bool(occ: np.ndarray, cell: float) -> OccupancyGrid:
     rows, cols = occ.shape
     return OccupancyGrid(occupied=occ, width=cols * cell, height=rows * cell)
@@ -167,6 +226,28 @@ class TestAstar:
             assert not occ[by, bx]
         # detour around the wall is longer than the straight line
         assert length > 10 * 0.1 - 1e-9
+
+    def test_identical_to_numpy_indexed_reference(self):
+        rng = np.random.default_rng(17)
+        grids = []
+        for world in generate_suite(WorldGenParams(), 10, 23):
+            grid = rasterize(world, 80, 80)
+            walled = grid.occupied.copy()
+            walled[:, 40] = True  # splits the arena: pairs across it are unreachable
+            grids += [grid, grid_from_bool(walled, 0.1)]
+        for shape in ((30, 47), (41, 19), (1, 9)):  # free cells on the border, rows != cols
+            grids += [grid_from_bool(rng.random(shape) < 0.3, 0.05) for _ in range(4)]
+        outcomes = set()
+        for grid in grids:
+            free = [(int(ix), int(iy)) for iy, ix in np.argwhere(~grid.occupied)]
+            if not free:
+                continue
+            picks = [free[i] for i in rng.integers(len(free), size=12)]
+            for start, goal in [*zip(picks[::2], picks[1::2]), (picks[0], picks[0])]:
+                got = astar_path(grid, start, goal)
+                assert got == reference_astar_path(grid, start, goal), (start, goal)
+                outcomes.add("same" if start == goal else "unreachable" if math.isinf(got[0]) else "found")
+        assert outcomes == {"same", "unreachable", "found"}
 
     def test_start_equals_goal(self):
         g = grid_from_bool(np.zeros((5, 5), dtype=bool), 0.1)

@@ -181,6 +181,16 @@ class TestGradients:
         assert grad is None
         assert np.array_equal(dx, net.backward(trace, upstream)[1])
 
+    def test_parameter_only_backward_matches_full(self):
+        rng = np.random.default_rng(82)
+        for sizes in ([5, 7, 7, 1], [5, 2]):
+            net = random_net(rng, sizes=sizes, dropout_p=0.3)
+            _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
+            upstream = rng.normal(size=(9, sizes[-1]))
+            grad, dx = net.backward(trace, upstream, input_grad=False)
+            assert dx is None
+            assert np.array_equal(grad, net.backward(trace, upstream)[0])
+
 
 class TestAdam:
     def test_first_step_closed_form(self):

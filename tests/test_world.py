@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from resnav.world import (
     load_world,
     normalize_angle,
     raycast,
+    raycast_angles,
     save_world,
     scan,
     shape_distance,
@@ -25,6 +27,7 @@ from resnav.world import (
     world_from_dict,
     world_to_dict,
 )
+from resnav.worldgen import WorldGenParams, generate_suite
 from tests.conftest import make_empty_world
 
 
@@ -55,6 +58,76 @@ def march_raycast(world: WorldSpec, x: float, y: float, angle: float, max_range:
             inside |= (px - ob.cx) ** 2 + (py - ob.cy) ** 2 <= ob.r**2
     hits = np.nonzero(inside)[0]
     return float(ts[hits[0]]) if hits.size else max_range
+
+
+def reference_raycast_angles(x: float, y: float, angles: np.ndarray, max_range: float,
+                             world: WorldSpec) -> np.ndarray:
+    """The ray caster in (rays, shapes) layout, built from the world's shapes.
+
+    raycast_angles must agree with it bit for bit: both evaluate the same
+    elementwise expressions, only the array layout differs.
+    """
+    w, h = world.width, world.height
+    corners = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+    segs = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
+    for ob in world.obstacles:
+        if isinstance(ob, Rect):
+            cs = [(ob.x_min, ob.y_min), (ob.x_max, ob.y_min), (ob.x_max, ob.y_max), (ob.x_min, ob.y_max)]
+            segs.extend((cs[i], cs[(i + 1) % 4]) for i in range(4))
+    p = np.array([s[0] for s in segs], dtype=np.float64)
+    e = np.array([s[1] for s in segs], dtype=np.float64) - p
+    circles = np.array([(c.cx, c.cy, c.r) for c in world.obstacles if isinstance(c, Circle)],
+                       dtype=np.float64).reshape(-1, 3)
+
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    diff_x = p[:, 0] - x
+    diff_y = p[:, 1] - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = dx[:, None] * e[None, :, 1] - dy[:, None] * e[None, :, 0]
+        t_num = diff_x * e[:, 1] - diff_y * e[:, 0]
+        t = t_num[None, :] / denom
+        u = (diff_x[None, :] * dy[:, None] - diff_y[None, :] * dx[:, None]) / denom
+    hit = (np.abs(denom) > 1e-12) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
+    best = np.where(hit, t, np.inf).min(axis=1)
+    if circles.shape[0]:
+        ocx = x - circles[:, 0]
+        ocy = y - circles[:, 1]
+        b = dx[:, None] * ocx[None, :] + dy[:, None] * ocy[None, :]
+        c0 = ocx * ocx + ocy * ocy - circles[:, 2] ** 2
+        disc = b * b - c0[None, :]
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t1 = -b - sq
+        t2 = -b + sq
+        t = np.where(t1 >= 0.0, t1, t2)
+        hit = (disc >= 0.0) & (t >= 0.0)
+        best = np.minimum(best, np.where(hit, t, np.inf).min(axis=1))
+    return np.minimum(best, max_range)
+
+
+def poses_near_shapes(world: WorldSpec, n: int, rng: np.random.Generator):
+    """Positions: uniform in the arena, a few cm from rectangle corners and circle
+    rims, and slightly inside obstacles (where a colliding episode ends)."""
+    for _ in range(n):
+        kind = rng.integers(4) if world.obstacles else 0
+        if kind == 0:
+            x, y = rng.uniform(0.0, world.width), rng.uniform(0.0, world.height)
+        else:
+            ob = world.obstacles[rng.integers(len(world.obstacles))]
+            depth = rng.uniform(0.0, 0.03) if kind == 3 else rng.normal(0.0, 0.03)  # > 0: inwards
+            if isinstance(ob, Rect):
+                cx, cy = ob.center
+                x = (ob.x_min if rng.random() < 0.5 else ob.x_max)
+                y = (ob.y_min if rng.random() < 0.5 else ob.y_max)
+                if kind == 2:  # on an edge rather than at a corner
+                    x, y = (rng.uniform(ob.x_min, ob.x_max), y) if rng.random() < 0.5 else (x, rng.uniform(ob.y_min, ob.y_max))
+                x += math.copysign(depth, cx - x)
+                y += math.copysign(depth, cy - y)
+            else:
+                phi = rng.uniform(-math.pi, math.pi)
+                x = ob.cx + (ob.r - depth) * math.cos(phi)
+                y = ob.cy + (ob.r - depth) * math.sin(phi)
+        yield x, y, rng.uniform(-math.pi, math.pi)
 
 
 class TestRaycast:
@@ -102,6 +175,25 @@ class TestRaycast:
                 got = raycast(Pose(x, y, 0.0), ang, 5.0, w)
                 want = march_raycast(w, x, y, ang, 5.0)
                 assert abs(got - want) <= 2e-3, (x, y, ang, got, want)
+
+    def test_bit_identical_to_rays_by_shapes_reference(self):
+        generated = generate_suite(WorldGenParams(), 30, 11)
+        walls_only = generate_suite(WorldGenParams(n_obstacles_min=0, n_obstacles_max=0), 1, 12)
+        circles_only = [dataclasses.replace(w, obstacles=tuple(ob for ob in w.obstacles if isinstance(ob, Circle)))
+                        for w in generated[:4]]
+        assert not walls_only[0].obstacles
+        assert all(w.obstacles for w in circles_only)
+        rng = np.random.default_rng(5)
+        rays = beam_angles(180, math.pi)
+        checked = 0
+        for world in generated + walls_only * 4 + circles_only:
+            for x, y, theta in poses_near_shapes(world, 300, rng):
+                angles = theta + rays
+                got = raycast_angles(x, y, angles, 3.5, world)
+                want = reference_raycast_angles(x, y, angles, 3.5, world)
+                assert np.array_equal(got, want), (world, x, y, theta)
+                checked += 1
+        assert checked >= 10_000
 
 
 class TestScan:
