@@ -83,10 +83,6 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be distinct")
         if not self.out_dir:
             raise ConfigurationError("out_dir must be a non-empty path")
-        if self.td3.gamma != self.episode.gamma:
-            raise ConfigurationError(
-                "the trainer's discount must equal episode.gamma; set gamma only there"
-            )
 
 
 _SECTIONS = {
@@ -107,18 +103,23 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
         raise ConfigurationError(f"{section}: unknown key(s) {unknown}")
 
 
+def _build(name: str, cls, data: dict) -> object:
+    """cls(**data), with a mistyped value reported as a ConfigurationError naming the section."""
+    try:
+        return cls(**data)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name}: bad value: {exc}") from exc
+
+
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{name}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    if name == "td3":
-        allowed = allowed - {"gamma"}
-        if "gamma" in data:
-            raise ConfigurationError(
-                "td3: gamma is not accepted here; the discount lives in episode.gamma"
-            )
-    _check_keys(name, data, allowed)
-    return cls(**data)
+    if name == "td3" and "gamma" in data:
+        raise ConfigurationError("td3: gamma is not accepted here; the discount lives in episode.gamma")
+    _check_keys(name, data, {f.name for f in fields(cls)})
+    return _build(name, cls, data)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -127,24 +128,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("format") != EXP_FORMAT:
         raise ConfigurationError(f"unsupported config format {data.get('format')!r}")
     _check_keys("config", data, _TOP_KEYS)
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        raw = data.get(name, {})
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"{name}: expected an object, got {type(raw).__name__}")
-        if name == "td3":
-            episode = sections["episode"]  # built earlier: _SECTIONS is ordered
-            section = _build_section(name, cls, raw)
-            section = Td3Config(**{**asdict(section), "gamma": episode.gamma})
-        else:
-            section = _build_section(name, cls, raw)
-        sections[name] = section
-    return ExperimentConfig(
-        mode=data.get("mode", "residual"),
-        seeds=tuple(data.get("seeds", (0, 1, 2, 3, 4))),
-        out_dir=data.get("out_dir", "runs/default"),
+    sections = {name: _build_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()}
+    return _build("config", ExperimentConfig, {
+        "mode": data.get("mode", "residual"),
+        "seeds": data.get("seeds", (0, 1, 2, 3, 4)),
+        "out_dir": data.get("out_dir", "runs/default"),
         **sections,
-    )
+    })
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -153,13 +143,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "mode": config.mode,
         "seeds": list(config.seeds),
         "out_dir": config.out_dir,
-        "worlds": asdict(config.worlds),
-        "worldgen": asdict(config.worldgen),
-        "sensor": asdict(config.sensor),
-        "episode": asdict(config.episode),
-        "prior": asdict(config.prior),
-        "td3": {k: v for k, v in asdict(config.td3).items() if k != "gamma"},
-        "evaluation": asdict(config.evaluation),
+        **{name: asdict(getattr(config, name)) for name in _SECTIONS},
     }
 
 

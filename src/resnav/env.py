@@ -201,10 +201,6 @@ class NavEnv:
             raise UsageError("no prior action available (end-to-end mode or before reset)")
         return self._prior_action
 
-    @property
-    def observation_dim(self) -> int:
-        return obs_dim(self.mode)
-
     def reset(self, seed: int) -> np.ndarray:
         """Sample a collision-free start pose and goal, return the first observation."""
         rng = np.random.default_rng(seed)

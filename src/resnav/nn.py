@@ -128,12 +128,6 @@ class Mlp:
         trace.output = y
         return y, trace
 
-    def forward_given_masks(self, x: np.ndarray, masks: list[np.ndarray] | None) -> np.ndarray:
-        """Forward with fixed dropout masks (used by gradient checks)."""
-        x2, squeeze = self._as_batch(x)
-        y = self._run(x2, masks, trace=None)
-        return y[0] if squeeze else y
-
     def _as_batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim == 1:

@@ -8,14 +8,13 @@ coordinates so that rewriting the same data gives identical bytes.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 from .errors import ConfigurationError, UsageError
 from .fileio import write_atomically
 from .rollout import TrajectoryRow
 from .td3 import TrainLogRow
-from .world import Circle, Rect, WorldSpec
+from .world import Rect, Shape, WorldSpec
 
 _ARENA_STROKE = "#333333"
 _OBSTACLE_FILL = "#9aa0a6"
@@ -108,22 +107,24 @@ class _MapProjection:
         return (self.margin + x * self.scale, self.height_px - self.margin - y * self.scale)
 
 
+def _draw_shape(svg: _Svg, proj: _MapProjection, shape: Shape, fill: str) -> None:
+    if isinstance(shape, Rect):
+        x, y = proj.to_canvas(shape.x_min, shape.y_max)
+        svg.rect(x, y, (shape.x_max - shape.x_min) * proj.scale,
+                 (shape.y_max - shape.y_min) * proj.scale, fill=fill)
+    else:
+        x, y = proj.to_canvas(shape.cx, shape.cy)
+        svg.circle(x, y, shape.r * proj.scale, fill=fill)
+
+
 def _draw_world(svg: _Svg, proj: _MapProjection, world: WorldSpec) -> None:
     x0, y0 = proj.to_canvas(0.0, world.height)
     svg.rect(x0, y0, world.width * proj.scale, world.height * proj.scale,
              fill="#ffffff", stroke=_ARENA_STROKE, stroke_width=2.0)
-    for region, fill in ((world.start_region, _START_FILL), (world.goal_region, _GOAL_FILL)):
-        rx, ry = proj.to_canvas(region.x_min, region.y_max)
-        svg.rect(rx, ry, (region.x_max - region.x_min) * proj.scale,
-                 (region.y_max - region.y_min) * proj.scale, fill=fill)
+    _draw_shape(svg, proj, world.start_region, _START_FILL)
+    _draw_shape(svg, proj, world.goal_region, _GOAL_FILL)
     for ob in world.obstacles:
-        if isinstance(ob, Rect):
-            ox, oy = proj.to_canvas(ob.x_min, ob.y_max)
-            svg.rect(ox, oy, (ob.x_max - ob.x_min) * proj.scale,
-                     (ob.y_max - ob.y_min) * proj.scale, fill=_OBSTACLE_FILL)
-        elif isinstance(ob, Circle):
-            cx, cy = proj.to_canvas(ob.cx, ob.cy)
-            svg.circle(cx, cy, ob.r * proj.scale, fill=_OBSTACLE_FILL)
+        _draw_shape(svg, proj, ob, _OBSTACLE_FILL)
 
 
 def plot_trajectory(

@@ -24,9 +24,6 @@ class Action:
     v: float
     omega: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.omega], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class PriorParams:

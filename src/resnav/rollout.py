@@ -30,6 +30,8 @@ TRAJ_COLUMNS = (
     "mu_dv", "mu_dw", "var_dv", "var_dw",
     "epsilon", "used_prior_only", "reward",
 )
+_TRAJ_TYPES = {"t": int, "used_prior_only": bool}
+_BOOLS = {"true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -175,43 +177,45 @@ def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> Non
     write_atomically(meta_path_for(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_cell(name: str, raw: str, lineno: int, path) -> float | bool | int | None:
-    if raw == "":
-        return None
-    try:
-        if name == "t":
-            return int(raw)
-        if name == "used_prior_only":
-            if raw not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {raw!r}")
-            return raw == "true"
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}:{lineno}: bad {name} field: {exc}") from exc
+def read_csv(path: str | Path, columns, types: dict, required: int = 0) -> list[tuple]:
+    """The rows of a CSV written by write_csv, one tuple of typed cells per line.
+
+    The header must equal columns. types maps a column to int or bool
+    (true/false); other columns are float. An empty cell reads as None,
+    except in the first `required` columns, where it is an error.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"no such file: {path}")
+    kinds = [types.get(name, float) for name in columns]
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(columns):
+            raise ConfigurationError(f"{path}: unexpected header {header}")
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != len(columns):
+                raise ConfigurationError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(rec)}")
+            row = []
+            for i, (name, kind, raw) in enumerate(zip(columns, kinds, rec)):
+                if raw == "":
+                    if i < required:
+                        raise ConfigurationError(f"{path}:{lineno}: missing {name}")
+                    row.append(None)
+                    continue
+                try:
+                    row.append(_BOOLS[raw] if kind is bool else kind(raw))
+                except (KeyError, ValueError) as exc:
+                    raise ConfigurationError(f"{path}:{lineno}: bad {name} field {raw!r}") from exc
+            rows.append(tuple(row))
+    return rows
 
 
 def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
     """Read a trajectory CSV plus sidecar; validates layout and step numbering."""
     path = Path(path)
-    rows: list[TrajectoryRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRAJ_COLUMNS):
-            raise ConfigurationError(f"{path}: unexpected trajectory header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(TRAJ_COLUMNS):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected {len(TRAJ_COLUMNS)} fields, got {len(rec)}"
-                )
-            values = {
-                name: _parse_cell(name, raw, lineno, path)
-                for name, raw in zip(TRAJ_COLUMNS, rec)
-            }
-            for required in ("t", "x", "y", "theta"):
-                if values[required] is None:
-                    raise ConfigurationError(f"{path}:{lineno}: missing {required}")
-            rows.append(TrajectoryRow(**values))
+    rows = [TrajectoryRow(*cells) for cells in read_csv(path, TRAJ_COLUMNS, _TRAJ_TYPES, required=4)]
     if not rows or rows[0].t != 0:
         raise ConfigurationError(f"{path}: trajectory must begin with a t=0 start row")
     for i, row in enumerate(rows):

@@ -8,7 +8,6 @@ environment's sparse success signal; nothing is shaped.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -24,16 +23,16 @@ from .fileio import write_atomically
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
 from .policy import EndToEndPolicy, ResidualPolicy
 from .prior import Action, PriorParams, compose_hybrid
-from .rollout import drive, write_csv
+from .rollout import drive, read_csv, write_csv
 from .world import WorldSpec
 
 ACTION_DIM = 2
 TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
+_LOG_TYPES = {"episode": int, "steps": int, "success": int}
 
 
 @dataclass(frozen=True)
 class Td3Config:
-    gamma: float = 0.99
     tau: float = 0.005
     policy_delay: int = 2
     smoothing_noise_sigma: float = 0.2
@@ -54,8 +53,6 @@ class Td3Config:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigurationError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
         for name in ("policy_delay", "batch_size", "buffer_capacity", "total_episodes",
@@ -159,8 +156,8 @@ class Td3Nets:
         )
 
 
-def critic_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generator) -> float:
-    """One clipped-double-Q regression step on both critics; returns mean loss."""
+def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np.random.Generator) -> float:
+    """One clipped-double-Q regression step on both critics with discount gamma; returns mean loss."""
     obs, action, reward, next_obs, done = batch
     b = obs.shape[0]
     noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM))
@@ -168,7 +165,7 @@ def critic_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Genera
     next_action = np.clip(nets.actor_target.forward(next_obs) + noise, -1.0, 1.0)
     target_in = np.concatenate([next_obs, next_action], axis=1)
     q_next = np.minimum(*(target.forward(target_in)[:, 0] for target in nets.critics_target))
-    y = reward + config.gamma * (1.0 - done) * q_next
+    y = reward + gamma * (1.0 - done) * q_next
 
     critic_in = np.concatenate([obs, action], axis=1)
     total = 0.0
@@ -223,25 +220,7 @@ def write_training_log(rows: list[TrainLogRow], path: str | Path) -> None:
 
 
 def read_training_log(path: str | Path) -> list[TrainLogRow]:
-    rows: list[TrainLogRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRAIN_LOG_COLUMNS):
-            raise ConfigurationError(f"{path}: unexpected training-log header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(TRAIN_LOG_COLUMNS):
-                raise ConfigurationError(f"{path}:{lineno}: expected {len(TRAIN_LOG_COLUMNS)} fields")
-            try:
-                rows.append(TrainLogRow(
-                    episode=int(rec[0]), steps=int(rec[1]), path_length_m=float(rec[2]),
-                    success=int(rec[3]), ret=float(rec[4]),
-                    eval_success=float(rec[5]) if rec[5] else None,
-                    eval_spl=float(rec[6]) if rec[6] else None,
-                ))
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: bad field: {exc}") from exc
-    return rows
+    return [TrainLogRow(*cells) for cells in read_csv(path, TRAIN_LOG_COLUMNS, _LOG_TYPES, required=5)]
 
 
 def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
@@ -284,6 +263,9 @@ def train(
     resume_from: str | Path | None = None,
 ) -> TrainResult:
     """Run TD3 over a world suite; returns the trained actor and the episode log.
+
+    The discount is episode_config.gamma, for the critic target and the
+    logged return alike.
 
     Checkpoints land in out_dir: actor.ckpt and train_log.csv at the end
     plus a rolling snapshot (actor/critic1/critic2 and the log so far)
@@ -349,7 +331,7 @@ def train(
 
             if total_steps >= config.warmup_steps and len(buffer) >= config.batch_size:
                 batch = buffer.sample(rng_batch, config.batch_size)
-                closs = critic_update(nets, batch, config, rng_update)
+                closs = critic_update(nets, batch, config, episode_config.gamma, rng_update)
                 if not math.isfinite(closs):
                     info = {"episode": ep, "step": total_steps, "critic_loss": closs, "seed": seed}
                     _dump_divergence(out_path, info)
@@ -368,7 +350,7 @@ def train(
             steps=env.steps,
             path_length_m=env.path_length,
             success=int(result.terminal is Terminal.GOAL),
-            ret=discounted_return(rewards, config.gamma),
+            ret=discounted_return(rewards, episode_config.gamma),
         )
         log.append(row)
         if ep % config.eval_every == 0:

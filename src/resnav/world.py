@@ -65,9 +65,6 @@ class Rect:
         dy = max(self.y_min - y, 0.0, y - self.y_max)
         return math.hypot(dx, dy)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
@@ -85,9 +82,6 @@ class Circle:
 
     def distance_to_point(self, x: float, y: float) -> float:
         return max(0.0, math.hypot(x - self.cx, y - self.cy) - self.r)
-
-    def contains(self, x: float, y: float) -> bool:
-        return math.hypot(x - self.cx, y - self.cy) <= self.r
 
     @property
     def center(self) -> tuple[float, float]:
@@ -301,14 +295,6 @@ def raycast_angles(
         np.minimum(best, t.min(axis=0), out=best)
 
     return np.minimum(best, max_range, out=best)
-
-
-def raycast(origin: Pose, ray_angle: float, max_range: float, world: WorldSpec) -> float:
-    """Distance along one absolute-angle ray from the pose's position."""
-    if max_range <= 0.0:
-        raise ConfigurationError(f"max_range must be positive, got {max_range}")
-    out = raycast_angles(origin.x, origin.y, np.array([ray_angle], dtype=np.float64), max_range, world)
-    return float(out[0])
 
 
 def scan(pose: Pose, n_rays: int, max_range: float, world: WorldSpec) -> LaserScan:

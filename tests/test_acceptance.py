@@ -231,9 +231,9 @@ def test_mlp_gradients_and_adam_match_references():
         for j in range(flat.size):
             saved = flat[j]
             flat[j] = saved + h
-            lp = float((net.forward_given_masks(x, masks) * loss_w).sum())
+            lp = float((net.forward(x, np.random.default_rng(mask_seed)) * loss_w).sum())
             flat[j] = saved - h
-            lm = float((net.forward_given_masks(x, masks) * loss_w).sum())
+            lm = float((net.forward(x, np.random.default_rng(mask_seed)) * loss_w).sum())
             flat[j] = saved
             fd = (lp - lm) / (2.0 * h)
             rel = abs(fd - gflat[j]) / max(abs(fd), abs(gflat[j]), 1e-3)

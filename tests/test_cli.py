@@ -129,6 +129,14 @@ class TestWorkflow:
         assert rc == 2
         assert "no training log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["trajectory", "components"])
+    def test_plot_missing_trajectory(self, kind, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        rc = main(["plot", kind, str(missing), "--out", str(tmp_path / "x.svg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
     def test_resume_flag(self, workspace, capsys):
         root, config = workspace
         rc = main(["train", "--config", str(config), "--resume"])

@@ -51,7 +51,6 @@ class TestRoundTrip:
         assert config.seeds == (7,)
         assert config.sensor.n_rays == 90
         assert config.td3.hidden_sizes == (32, 32)
-        assert config.td3.gamma == 0.95  # inherited from the episode section
         assert config.episode.max_steps == 120
         assert config.worldgen.n_obstacles_max == 2
 
@@ -76,6 +75,16 @@ class TestStrictness:
     def test_gamma_in_td3_section_rejected(self):
         with pytest.raises(ConfigurationError, match="episode.gamma"):
             config_from_dict({"format": EXP_FORMAT, "td3": {"gamma": 0.9}})
+
+    @pytest.mark.parametrize("key, value, section", [
+        ("sensor", {"n_rays": "abc"}, "sensor"),
+        ("seeds", ["a"], "config"),
+        ("td3", {"hidden_sizes": 5}, "td3"),
+        ("episode", {"max_steps": None}, "episode"),
+    ])
+    def test_mistyped_value_names_the_section(self, key, value, section):
+        with pytest.raises(ConfigurationError, match=f"^{section}: bad value"):
+            config_from_dict({"format": EXP_FORMAT, key: value})
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="expected an object"):
@@ -114,10 +123,3 @@ class TestValidation:
             EvaluationConfig(n_episodes=0)
         with pytest.raises(ConfigurationError):
             EvaluationConfig(n_passes=1)
-
-    def test_mismatched_gamma_rejected_when_built_directly(self):
-        from resnav.env import EpisodeConfig
-        from resnav.td3 import Td3Config
-
-        with pytest.raises(ConfigurationError, match="gamma"):
-            ExperimentConfig(episode=EpisodeConfig(gamma=0.9), td3=Td3Config(gamma=0.99))

@@ -252,6 +252,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             EpisodeConfig(gamma=1.5)
         with pytest.raises(ConfigurationError):
+            EpisodeConfig(gamma=1.0)
+        with pytest.raises(ConfigurationError):
             EpisodeConfig(max_steps=0)
 
     def test_d_influence_vs_max_range(self, empty_world):

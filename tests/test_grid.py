@@ -146,7 +146,7 @@ class TestRasterize:
                 d = ob.distance_to_point(x, y) - r
                 if isinstance(ob, Circle) and math.hypot(x - ob.cx, y - ob.cy) < ob.r:
                     d = -(r + ob.r - math.hypot(x - ob.cx, y - ob.cy))
-                if isinstance(ob, Rect) and ob.contains(x, y):
+                if isinstance(ob, Rect) and ob.x_min <= x <= ob.x_max and ob.y_min <= y <= ob.y_max:
                     d = -r  # at least r deep inside the inflated set
                 best = min(best, d)
             return best

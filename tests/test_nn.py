@@ -28,9 +28,20 @@ def per_array(net: Mlp, flat):
     return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
+def masked_forward(net: Mlp, x, masks):
+    """Forward pass with the given dropout masks (None: no dropout)."""
+    h = np.atleast_2d(x)
+    for i in range(net.n_hidden):
+        h = np.maximum(h @ net.weights[i] + net.biases[i], 0.0)
+        if masks is not None:
+            h = h * masks[i]
+    pre = h @ net.weights[-1] + net.biases[-1]
+    return np.tanh(pre) if net.output_activation == "tanh" else pre
+
+
 def loss_and_grads(net: Mlp, x, target, masks):
     """Half squared error against a fixed target, with fixed dropout masks."""
-    y = net.forward_given_masks(x, masks)
+    y = masked_forward(net, x, masks)
     return 0.5 * float(np.sum((y - target) ** 2))
 
 

@@ -1,6 +1,8 @@
 """Tests for SVG figure generation: structure and byte determinism,
 not pixel appearance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from resnav.plots import plot_components, plot_trajectory, plot_training
 from resnav.policy import GatedResidualPolicy, PriorPolicy
 from resnav.rollout import TrajectoryRow, run_episode
 from resnav.td3 import TrainLogRow
+from resnav.world import Circle
 
 from conftest import make_cluttered_world, make_empty_world
 
@@ -61,6 +64,14 @@ class TestTrajectoryPlot:
         record, env = gated_record()
         text = plot_trajectory(record.rows, env.world)
         assert text.count("#9aa0a6") == len(env.world.obstacles)
+
+    def test_circular_regions_are_drawn(self):
+        record, env = prior_record()
+        world = dataclasses.replace(env.world, start_region=Circle(2.75, 5.0, 0.75),
+                                    goal_region=Circle(7.25, 5.0, 0.5))
+        text = plot_trajectory(record.rows, world)
+        assert text.count('fill="#dbeedd"') == 1 and text.count('fill="#f3d9d9"') == 1
+        assert '<circle cx="178.50" cy="300.00" r="40.50" fill="#dbeedd"' in text
 
     def test_empty_trajectory_rejected(self, tmp_path):
         record, env = prior_record()

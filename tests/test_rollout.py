@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from resnav.rollout import (
     load_trajectory,
     meta_path_for,
     policy_rng,
+    read_csv,
     run_episode,
     save_trajectory,
+    write_csv,
 )
+from resnav.td3 import TRAIN_LOG_COLUMNS, TrainLogRow
 
 from conftest import make_cluttered_world, make_empty_world
 
@@ -171,3 +175,32 @@ class TestTrajectoryFiles:
         path.write_text(text)
         with pytest.raises(ConfigurationError, match="used_prior_only"):
             load_trajectory(path)
+
+
+class TestReadCsv:
+    def test_round_trips_both_file_kinds(self, tmp_path):
+        env = residual_env(make_cluttered_world(), max_steps=60)
+        actor = Mlp([21, 16, 16, 2], "tanh", 0.3, rng=np.random.default_rng(3))
+        record = run_episode(env, GatedResidualPolicy(actor, n_passes=20), seed=2)
+        log = [TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.9**11, 0.5, 0.25)]
+        for columns, types, rows in (
+            (TRAJ_COLUMNS, {"t": int, "used_prior_only": bool}, [astuple(r) for r in record.rows]),
+            (TRAIN_LOG_COLUMNS, {"episode": int, "steps": int, "success": int}, [astuple(r) for r in log]),
+        ):
+            first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+            write_csv(first, columns, rows)
+            read = read_csv(first, columns, types)
+            assert read == rows
+            assert [type(v) for v in read[-1]] == [type(v) for v in rows[-1]]
+            write_csv(second, columns, read)
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_bad_boolean_names_the_column_and_line(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,flag\n1.0,true\n2.0,maybe\n")
+        with pytest.raises(ConfigurationError, match=":3: bad flag field 'maybe'"):
+            read_csv(path, ("a", "flag"), {"flag": bool})
+
+    def test_missing_file_is_a_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="absent.csv"):
+            read_csv(tmp_path / "absent.csv", TRAJ_COLUMNS, {})

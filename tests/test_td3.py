@@ -137,42 +137,42 @@ class TestCriticUpdate:
     critics (Q = 0) the loss equals y^2 and exposes the target directly."""
 
     def test_terminal_target_is_reward_only(self):
-        config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
+        config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
         nets.critics_target[0].biases[-1][:] = 5.0
         nets.critics_target[1].biases[-1][:] = 5.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.7, np.ones(3), done=1.0)
-        loss = critic_update(nets, batch, config, np.random.default_rng(0))
+        loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
         assert loss == pytest.approx(0.7**2, abs=1e-12)
 
     def test_bootstrap_uses_the_smaller_twin(self):
-        config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
+        config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
         nets.critics_target[0].biases[-1][:] = 2.0
         nets.critics_target[1].biases[-1][:] = -3.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.5, np.ones(3), done=0.0)
         y = 0.5 + 0.9 * (-3.0)
-        loss = critic_update(nets, batch, config, np.random.default_rng(0))
+        loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
         assert loss == pytest.approx(y**2, abs=1e-12)
 
     def test_timeout_transition_keeps_bootstrap(self):
-        config = small_config(smoothing_noise_sigma=0.0, gamma=0.9)
+        config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
         nets.critics_target[0].biases[-1][:] = 4.0
         nets.critics_target[1].biases[-1][:] = 4.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.0, np.ones(3), done=0.0)
-        loss = critic_update(nets, batch, config, np.random.default_rng(0))
+        loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
         assert loss == pytest.approx((0.9 * 4.0) ** 2, abs=1e-12)
 
     def test_overfits_a_single_terminal_transition(self):
-        config = small_config(hidden_sizes=(32, 32), critic_lr=1e-2, gamma=0.99)
+        config = small_config(hidden_sizes=(32, 32), critic_lr=1e-2)
         rng = np.random.default_rng(11)
         nets = Td3Nets.build(6, config, rng)
         obs = rng.uniform(-1.0, 1.0, 6)
         action = np.array([0.3, -0.4])
         batch = one_sample_batch(obs, action, 1.0, rng.uniform(-1.0, 1.0, 6), done=1.0)
         for _ in range(500):
-            critic_update(nets, batch, config, rng)
+            critic_update(nets, batch, config, 0.99, rng)
         q = nets.critics[0].forward(np.concatenate([obs, action]))
         assert q[0] == pytest.approx(1.0, abs=0.05)
 
@@ -243,7 +243,7 @@ class TestActorUpdate:
         assert np.array_equal(nets_a.actor.params, nets_b.actor.params)
 
 
-def reference_updates(nets: Td3Nets, config: Td3Config):
+def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
     """Plain per-critic copies of nets with the TD3 updates written one critic at a time."""
     actor, actor_target = nets.actor.copy(), nets.actor_target.copy()
     critics = [c.copy() for c in nets.critics]
@@ -259,7 +259,7 @@ def reference_updates(nets: Td3Nets, config: Td3Config):
         next_action = np.clip(actor_target.forward(next_obs) + noise, -1.0, 1.0)
         target_in = np.concatenate([next_obs, next_action], axis=1)
         q_next = np.minimum(targets[0].forward(target_in)[:, 0], targets[1].forward(target_in)[:, 0])
-        y = reward + config.gamma * (1.0 - done) * q_next
+        y = reward + gamma * (1.0 - done) * q_next
         total = 0.0
         for critic, adam in zip(critics, adam_critics):
             q, trace = critic.forward_trace(np.concatenate([obs, action], axis=1))
@@ -307,10 +307,10 @@ class TestTwinCritics:
         for _ in range(40):
             buf.add(rng.normal(size=5), rng.uniform(-1, 1, 2), float(rng.random() < 0.3),
                     rng.normal(size=5), float(rng.random() < 0.2))
-        critic_step, actor_step, ref = reference_updates(nets, config)
+        critic_step, actor_step, ref = reference_updates(nets, config, 0.99)
         for i in range(3):  # later rounds start from targets that differ from the live nets
             batch = buf.sample(np.random.default_rng(i), 16)
-            assert critic_update(nets, batch, config, np.random.default_rng(10 + i)) == \
+            assert critic_update(nets, batch, config, 0.99, np.random.default_rng(10 + i)) == \
                 critic_step(batch, np.random.default_rng(10 + i))
             assert actor_update(nets, batch, config, np.random.default_rng(20 + i)) == \
                 actor_step(batch, np.random.default_rng(20 + i))
@@ -394,6 +394,22 @@ class TestTrain:
                   episode_config=EpisodeConfig(max_steps=10), seed=0, out_dir=out)
         assert (out / "divergence.json").exists()
 
+    def test_discount_comes_from_the_episode_config(self, monkeypatch):
+        seen = []
+
+        def spy(nets, batch, config, gamma, rng):
+            seen.append(gamma)
+            return critic_update(nets, batch, config, gamma, rng)
+
+        monkeypatch.setattr("resnav.td3.critic_update", spy)
+        res = train([make_empty_world(side=6.0)], "residual", small_config(total_episodes=4),
+                    episode_config=EpisodeConfig(max_steps=40, gamma=0.9), seed=5)
+        assert seen and set(seen) == {0.9}
+        successes = [row for row in res.log if row.success]
+        assert successes
+        for row in successes:
+            assert row.ret == pytest.approx(0.9 ** (row.steps - 1), rel=1e-12)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             train([make_empty_world()], "hybrid", small_config())
@@ -404,10 +420,6 @@ class TestTrain:
 
 
 class TestConfigValidation:
-    def test_bad_gamma(self):
-        with pytest.raises(ConfigurationError):
-            Td3Config(gamma=1.0)
-
     def test_bad_policy_delay(self):
         with pytest.raises(ConfigurationError):
             Td3Config(policy_delay=0)
@@ -443,6 +455,17 @@ class TestTrainingLogIo:
             ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
         ) + "\n1,2,abc,0,0.0,,\n")
         with pytest.raises(ConfigurationError, match=":2"):
+            read_training_log(path)
+
+    @pytest.mark.parametrize("column", range(5))
+    def test_empty_required_cell_reports_line(self, tmp_path, column):
+        path = tmp_path / "log.csv"
+        write_training_log([TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.5)], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = ""
+        path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
+        with pytest.raises(ConfigurationError, match=f":3: missing {lines[0].split(',')[column]}"):
             read_training_log(path)
 
 

@@ -18,7 +18,6 @@ from resnav.world import (
     collides,
     load_world,
     normalize_angle,
-    raycast,
     raycast_angles,
     save_world,
     scan,
@@ -41,6 +40,11 @@ def centered_world(side: float, obstacles=(), robot_radius: float = 0.1) -> Worl
         start_region=Rect(0.3, 0.3, 0.8, 0.8),
         goal_region=Rect(side - 0.8, side - 0.8, side - 0.3, side - 0.3),
     )
+
+
+def raycast(pose: Pose, angle: float, max_range: float, world: WorldSpec) -> float:
+    """Range along one absolute-angle ray from the pose's position."""
+    return float(raycast_angles(pose.x, pose.y, np.array([angle]), max_range, world)[0])
 
 
 def march_raycast(world: WorldSpec, x: float, y: float, angle: float, max_range: float,
