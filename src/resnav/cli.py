@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, save_config
-from .env import EVAL_SEED_OFFSET, NavEnv
+from .env import NavEnv
 from .errors import ConfigurationError, TrainingDiverged, UsageError
-from .evaluation import evaluate
+from .evaluation import eval_seed, evaluate
 from .fileio import write_atomically
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell
 from .nn import load_checkpoint
@@ -153,6 +153,7 @@ def cmd_train(args) -> int:
         episode_config=config.episode, sensor_config=config.sensor,
         prior_params=config.prior, seed=seed, out_dir=out,
         resume_from=out if args.resume else None,
+        oracle=ShortestPathOracle(config.evaluation.grid_cell),
     )
     last_eval = next((r for r in reversed(result.log) if r.eval_success is not None), None)
     if last_eval is not None:
@@ -208,8 +209,7 @@ def cmd_rollout(args) -> int:
         mode=env_mode_for(policy.mode),
         prior_params=config.prior if env_mode_for(policy.mode) == "residual" else None,
     )
-    episode_seed = EVAL_SEED_OFFSET + config.evaluation.seed_base + args.episode_seed
-    record = run_episode(env, policy, episode_seed)
+    record = run_episode(env, policy, eval_seed(config.evaluation.seed_base, args.episode_seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_trajectory(record, env, out)

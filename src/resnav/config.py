@@ -3,8 +3,9 @@
 The file carries every knob for world generation, the sensor, episode
 rules, the prior controller, TD3, and evaluation, so that runs are
 reproducible from the file alone. Sections may be omitted (defaults
-apply) but unknown keys are rejected everywhere, and the discount factor
-lives only in the episode section; the trainer inherits it from there.
+apply) but unknown keys are rejected everywhere. The discount factor
+lives only in the episode section and the SPL planner's cell only in the
+evaluation section; the trainer inherits both from there.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError
-from .fileio import write_atomically
+from .fileio import read_json, write_atomically
 from .prior import PriorParams
 from .td3 import Td3Config
 from .worldgen import WorldGenParams
@@ -95,6 +96,11 @@ _SECTIONS = {
     "evaluation": EvaluationConfig,
 }
 _TOP_KEYS = {"format", "mode", "seeds", "out_dir", *_SECTIONS}
+# (section, key) that no longer belong to that section -> where the setting lives now
+_MOVED_KEYS = {
+    ("td3", "gamma"): "episode.gamma",
+    ("td3", "eval_grid_cell"): "evaluation.grid_cell",
+}
 
 
 def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
@@ -116,8 +122,9 @@ def _build(name: str, cls, data: dict) -> object:
 def _build_section(name: str, cls, data) -> object:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{name}: expected an object, got {type(data).__name__}")
-    if name == "td3" and "gamma" in data:
-        raise ConfigurationError("td3: gamma is not accepted here; the discount lives in episode.gamma")
+    for key in data:
+        if (name, key) in _MOVED_KEYS:
+            raise ConfigurationError(f"{name}: {key} is not accepted here; use {_MOVED_KEYS[name, key]}")
     _check_keys(name, data, {f.name for f in fields(cls)})
     return _build(name, cls, data)
 
@@ -159,8 +166,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))

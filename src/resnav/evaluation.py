@@ -4,6 +4,9 @@ Every controller sees the same episode list (same worlds, same reset
 seeds, hence identical start and goal draws), so the comparison is
 paired. Path efficiency weights each success by the ratio of the
 planner's shortest path to the driven path; failures contribute zero.
+eval_seed and score_episode define a paired episode's seed and score for
+every caller: evaluate, the trainer's periodic evaluation and `resnav
+rollout`.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal
+from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig
 from .errors import ConfigurationError
 from .grid import ShortestPathOracle
-from .policy import PolicyMode, PriorPolicy, env_mode_for
+from .policy import PolicyMode, env_mode_for
 from .prior import PriorParams
-from .rollout import EpisodeRecord, drive, run_episode, write_csv
+from .rollout import run_episode, write_csv
 from .world import WorldSpec
 
 EPISODE_CSV_COLUMNS = (
@@ -46,6 +49,22 @@ def spl_term(success: bool, path_m: float, shortest_m: float) -> float | None:
     if not math.isfinite(shortest_m) or shortest_m <= 0.0:
         return None
     return float(success) * shortest_m / max(path_m, shortest_m)
+
+
+def eval_seed(seed_base: int, i: int) -> int:
+    """Reset seed of paired episode i; the offset keeps it clear of every training draw."""
+    return EVAL_SEED_OFFSET + seed_base + i
+
+
+def score_episode(label: str, i: int, seed: int, world_index: int, env: NavEnv, success: bool,
+                  oracle: ShortestPathOracle) -> EpisodeMetrics:
+    """Metrics of the episode env has just finished, against oracle's shortest path."""
+    shortest = oracle.shortest(env.world, env.start.position(), env.goal)
+    return EpisodeMetrics(
+        mode=label, episode=i, seed=seed, world=world_index, success=success, steps=env.steps,
+        actuation_s=env.steps * env.episode.dt, path_length_m=env.path_length, shortest_m=shortest,
+        spl_term=spl_term(success, env.path_length, shortest),
+    )
 
 
 @dataclass
@@ -110,9 +129,8 @@ def evaluate(
 ) -> EvalResult:
     """Run each policy over the same paired episode set and aggregate.
 
-    Episode i draws its start and goal from seed EVAL_SEED_OFFSET +
-    seed_base + i on world i % len(worlds); the offset keeps these draws
-    disjoint from anything a training run consumed.
+    Episode i draws its start and goal from eval_seed(seed_base, i) on
+    world i % len(worlds).
     """
     if not worlds:
         raise ConfigurationError("evaluation needs at least one world")
@@ -138,29 +156,14 @@ def evaluate(
         return envs[key]
 
     results = {label: ModeResult(mode=label, episodes=[]) for label in policies}
-    dropped = 0
     for i in range(n_episodes):
         world_index = i % len(worlds)
-        seed = EVAL_SEED_OFFSET + seed_base + i
+        seed = eval_seed(seed_base, i)
         for label, policy in policies.items():
             env = env_for(world_index, policy)
-            record: EpisodeRecord = run_episode(env, policy, seed)
-            shortest = oracle.shortest(worlds[world_index], record.start, record.goal)
-            term = spl_term(record.success, record.path_length_m, shortest)
-            if term is None:
-                dropped += 1
-            results[label].episodes.append(EpisodeMetrics(
-                mode=label,
-                episode=i,
-                seed=seed,
-                world=world_index,
-                success=record.success,
-                steps=record.steps,
-                actuation_s=record.steps * episode_config.dt,
-                path_length_m=record.path_length_m,
-                shortest_m=shortest,
-                spl_term=term,
-            ))
+            success = run_episode(env, policy, seed).success
+            results[label].episodes.append(score_episode(label, i, seed, world_index, env, success, oracle))
+    dropped = sum(e.spl_term is None for res in results.values() for e in res.episodes)
     if dropped:
         warnings.warn(
             f"{dropped} episode(s) had no usable shortest path and were "
@@ -168,34 +171,3 @@ def evaluate(
             stacklevel=2,
         )
     return EvalResult(results=results)
-
-
-def tune_check(
-    worlds,
-    episode_config=None,
-    sensor_config=None,
-    params: PriorParams | None = None,
-    n_episodes: int = 100,
-    seed: int = 0,
-) -> float:
-    """Success fraction of the prior alone over a suite of episodes.
-
-    Used to calibrate PriorParams against a generated world suite before
-    any learning happens.
-    """
-    if n_episodes < 1:
-        raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
-    if not worlds:
-        raise ConfigurationError("tune_check needs at least one world")
-    envs = [
-        NavEnv(w, episode=episode_config, sensor=sensor_config, mode="residual",
-               prior_params=params or PriorParams())
-        for w in worlds
-    ]
-    policy = PriorPolicy()
-    successes = 0
-    for i in range(n_episodes):
-        for _prior, _out, result in drive(envs[i % len(envs)], policy, seed * 1_000_003 + i):
-            pass
-        successes += result.terminal is Terminal.GOAL
-    return successes / n_episodes

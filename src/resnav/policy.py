@@ -170,7 +170,6 @@ def make_policy(
     actor_kind: str | None = None,
     n_passes: int = 100,
     single_pass: bool = False,
-    epsilon_override: float | None = None,
 ):
     """Build a policy, checking the network kind against what the mode needs.
 
@@ -191,5 +190,5 @@ def make_policy(
     if mode is PolicyMode.RESIDUAL:
         return ResidualPolicy(actor, n_passes=n_passes, single_pass=single_pass)
     if mode is PolicyMode.GATED:
-        return GatedResidualPolicy(actor, n_passes=n_passes, epsilon_override=epsilon_override)
+        return GatedResidualPolicy(actor, n_passes=n_passes)
     return EndToEndPolicy(actor)

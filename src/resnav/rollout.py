@@ -18,7 +18,7 @@ import numpy as np
 
 from .env import NavEnv, StepResult, Terminal, discounted_return
 from .errors import ConfigurationError, UsageError
-from .fileio import write_atomically
+from .fileio import read_json, write_atomically
 from .policy import PolicyOutput
 from .prior import Action
 from .world import world_from_dict, world_to_dict
@@ -225,7 +225,7 @@ def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
     meta_file = meta_path_for(path)
     if not meta_file.exists():
         raise UsageError(f"missing trajectory sidecar {meta_file}")
-    meta = json.loads(meta_file.read_text())
+    meta = read_json(meta_file, required=("world", "start", "goal"))
     if meta.get("format") != TRAJ_FORMAT:
         raise ConfigurationError(f"{meta_file}: unsupported format {meta.get('format')!r}")
     # materialize the embedded world to catch stale or hand-edited sidecars

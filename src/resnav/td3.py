@@ -17,9 +17,9 @@ import numpy as np
 
 from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return, obs_dim
 from .errors import ConfigurationError, TrainingDiverged, UsageError
-from .evaluation import spl_term
+from .evaluation import ModeResult, eval_seed, score_episode
 from .grid import ShortestPathOracle
-from .fileio import write_atomically
+from .fileio import read_json, write_atomically
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
 from .policy import EndToEndPolicy, ResidualPolicy
 from .prior import Action, PriorParams, compose_hybrid
@@ -48,8 +48,6 @@ class Td3Config:
     eval_episodes: int = 10
     hidden_sizes: tuple[int, ...] = (256, 256)
     dropout_p: float = 0.2
-    dropout_in_actor_update: bool = True
-    eval_grid_cell: float = 0.05  # m, resolution of the periodic-eval planner
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -68,8 +66,6 @@ class Td3Config:
             raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigurationError(f"bad hidden sizes {self.hidden_sizes}")
-        if self.eval_grid_cell <= 0.0:
-            raise ConfigurationError("eval_grid_cell must be positive")
 
 
 class ReplayBuffer:
@@ -179,11 +175,13 @@ def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np
 
 
 def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generator) -> float:
-    """Deterministic policy-gradient ascent on critic1, then Polyak on all targets."""
+    """Deterministic policy-gradient ascent on critic1, then Polyak on all targets.
+
+    The actor runs with dropout live (masks from rng) when its dropout_p > 0.
+    """
     obs = batch[0]
     b = obs.shape[0]
-    use_dropout = config.dropout_in_actor_update and nets.actor.dropout_p > 0.0
-    action, actor_trace = nets.actor.forward_trace(obs, rng=rng if use_dropout else None)
+    action, actor_trace = nets.actor.forward_trace(obs, rng=rng)
     q1 = nets.critics[0]
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
@@ -233,17 +231,14 @@ def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
 
 def _periodic_eval(envs, actor: Mlp, mode: str, n_episodes: int, oracle: ShortestPathOracle,
                    seed_base: int) -> tuple[float, float]:
-    """Greedy success rate and SPL on the episodes evaluation.evaluate would pair."""
-    successes = 0
-    spl_terms: list[float] = []
+    """Greedy success rate and SPL on the episodes evaluation.evaluate pairs and scores alike."""
+    result = ModeResult(mode=mode, episodes=[])
     for i in range(n_episodes):
-        env = envs[i % len(envs)]
-        ok = greedy_episode(env, actor, mode, EVAL_SEED_OFFSET + seed_base + i)
-        successes += ok
-        term = spl_term(ok, env.path_length, oracle.shortest(env.world, env.start.position(), env.goal))
-        if term is not None:
-            spl_terms.append(term)
-    return (successes / n_episodes, sum(spl_terms) / len(spl_terms) if spl_terms else 0.0)
+        world_index = i % len(envs)
+        seed = eval_seed(seed_base, i)
+        success = greedy_episode(envs[world_index], actor, mode, seed)
+        result.episodes.append(score_episode(mode, i, seed, world_index, envs[world_index], success, oracle))
+    return result.success_rate, result.spl
 
 
 def _dump_divergence(out_dir: Path | None, info: dict) -> None:
@@ -261,11 +256,13 @@ def train(
     seed: int = 0,
     out_dir: str | Path | None = None,
     resume_from: str | Path | None = None,
+    oracle: ShortestPathOracle | None = None,
 ) -> TrainResult:
     """Run TD3 over a world suite; returns the trained actor and the episode log.
 
     The discount is episode_config.gamma, for the critic target and the
-    logged return alike.
+    logged return alike. The periodic greedy evaluation scores SPL against
+    oracle (default: ShortestPathOracle(), a 0.05 m grid).
 
     Checkpoints land in out_dir: actor.ckpt and train_log.csv at the end
     plus a rolling snapshot (actor/critic1/critic2 and the log so far)
@@ -300,7 +297,7 @@ def train(
         NavEnv(w, episode=episode_config, sensor=sensor_config, mode=mode, prior_params=prior_params)
         for w in worlds
     ]
-    oracle = ShortestPathOracle(config.eval_grid_cell)
+    oracle = oracle or ShortestPathOracle()
     buffer = ReplayBuffer(config.buffer_capacity, dim)
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -385,7 +382,7 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
     state_file = snap / "state.json"
     if not state_file.exists():
         raise ConfigurationError(f"no snapshot to resume from under {run_dir}")
-    state = json.loads(state_file.read_text())
+    state = read_json(state_file, required=("episode",))
     actor, _ = load_checkpoint(snap / "actor.ckpt")
     critic1, _ = load_checkpoint(snap / "critic1.ckpt")
     critic2, _ = load_checkpoint(snap / "critic2.ckpt")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .fileio import write_atomically
+from .fileio import read_json, write_atomically
 
 WORLD_FORMAT = "world/1"
 TWO_PI = 2.0 * math.pi
@@ -383,8 +383,4 @@ def save_world(world: WorldSpec, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldSpec:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"invalid JSON in world file {path}: {exc}") from exc
-    return world_from_dict(doc)
+    return world_from_dict(read_json(path))

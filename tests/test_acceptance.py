@@ -449,9 +449,8 @@ def test_gate_fallback_frequency_tracks_uncertainty(trained_runs, heldout_suite)
 def test_forced_gate_and_zero_residual_reduce_to_prior(trained_runs, heldout_suite):
     """eps == 1 and a zero-weight residual both replay the prior bitwise."""
     actor, kind = load_checkpoint(trained_runs[("residual", 0)].actor_path)
-    forced = make_policy(
-        PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=MC_PASSES, epsilon_override=1.0
-    )
+    assert kind == "residual"
+    forced = GatedResidualPolicy(actor, n_passes=MC_PASSES, epsilon_override=1.0)
     zero = ResidualPolicy(Mlp([RESIDUAL_OBS_DIM, 64, 64, 2], "tanh", 0.2, rng=None), n_passes=16)
 
     forced_same, zero_same = True, True
@@ -648,7 +647,6 @@ def test_pipeline_rerun_is_byte_identical(train_suite, tmp_path):
         total_episodes=40,
         eval_every=20,
         eval_episodes=4,
-        eval_grid_cell=0.1,
     )
     artifacts = (
         "train_log.csv",
@@ -664,7 +662,8 @@ def test_pipeline_rerun_is_byte_identical(train_suite, tmp_path):
 
     def pipeline(out_dir: Path) -> None:
         result = train(
-            train_suite[:2], "residual", tiny, EPISODE, SENSOR, PRIOR, seed=7, out_dir=out_dir
+            train_suite[:2], "residual", tiny, EPISODE, SENSOR, PRIOR, seed=7, out_dir=out_dir,
+            oracle=ShortestPathOracle(cell=0.1),
         )
         actor, kind = load_checkpoint(result.checkpoint_path)
         gated = make_policy(PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=16)

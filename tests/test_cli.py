@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 from resnav.cli import main
+from resnav.config import load_config
+from resnav.grid import ShortestPathOracle
+from resnav.td3 import read_training_log, train
+from resnav.worldgen import load_suite
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -34,7 +38,7 @@ def workspace(tmp_path_factory):
         "td3": {
             "total_episodes": 2, "warmup_steps": 10, "batch_size": 8,
             "hidden_sizes": [8, 8], "eval_every": 2, "eval_episodes": 1,
-            "eval_grid_cell": 0.25, "buffer_capacity": 1000,
+            "buffer_capacity": 1000,
         },
         "evaluation": {"n_episodes": 2, "n_passes": 4, "grid_cell": 0.2},
     }
@@ -137,10 +141,55 @@ class TestWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
+    @pytest.mark.parametrize("fault", ["malformed", "no goal"])
+    @pytest.mark.parametrize("kind", ["trajectory", "components"])
+    def test_plot_bad_sidecar(self, workspace, kind, fault, capsys, tmp_path):
+        _root, config = workspace
+        traj = tmp_path / "ep.csv"
+        assert main(["rollout", "--config", str(config), "--controller", "prior", "--out", str(traj)]) == 0
+        meta_file = traj.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        del meta["goal"]
+        meta_file.write_text("{not json" if fault == "malformed" else json.dumps(meta))
+        rc = main(["plot", kind, str(traj), "--out", str(tmp_path / "x.svg")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_resume_flag(self, workspace, capsys):
         root, config = workspace
         rc = main(["train", "--config", str(config), "--resume"])
         assert rc == 0
+
+
+def test_train_scores_its_curve_on_the_evaluation_grid(tmp_path, monkeypatch):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "format": "exp/1",
+        "seeds": [0],
+        "out_dir": str(tmp_path / "runs"),
+        "worlds": {"train_dir": str(tmp_path / "train"), "heldout_dir": str(tmp_path / "heldout"),
+                   "n_train": 2, "n_heldout": 1},
+        "worldgen": {"n_obstacles_min": 1, "n_obstacles_max": 2, "planner_cell": 0.1},
+        "td3": {"total_episodes": 2, "warmup_steps": 10, "batch_size": 8, "hidden_sizes": [8, 8],
+                "eval_every": 2, "eval_episodes": 3, "buffer_capacity": 1000},
+        "evaluation": {"grid_cell": 0.2},
+    }))
+    assert main(["gen-worlds", "--config", str(config_path)]) == 0
+    cells = []
+    monkeypatch.setattr("resnav.cli.ShortestPathOracle",
+                        lambda cell: cells.append(cell) or ShortestPathOracle(cell))
+    monkeypatch.setattr("resnav.td3.ShortestPathOracle", None)  # train may not build its own
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    assert cells == [0.2]
+    logged = read_training_log(tmp_path / "run" / "train_log.csv")
+
+    config = load_config(config_path)
+    worlds = load_suite(config.worlds.train_dir)
+
+    direct = train(worlds, "residual", config.td3, config.episode, config.sensor, config.prior, seed=0,
+                   oracle=ShortestPathOracle(config.evaluation.grid_cell))
+    assert logged == direct.log
+    assert logged[-1].eval_spl > 0.0
 
 
 def _run(cmd, **kwargs):

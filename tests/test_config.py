@@ -76,6 +76,24 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="episode.gamma"):
             config_from_dict({"format": EXP_FORMAT, "td3": {"gamma": 0.9}})
 
+    def test_eval_grid_cell_in_td3_section_rejected(self):
+        with pytest.raises(ConfigurationError, match="evaluation.grid_cell"):
+            config_from_dict({"format": EXP_FORMAT, "td3": {"eval_grid_cell": 0.1}})
+
+    @pytest.mark.parametrize("entry", ['"dt": NaN', '"d_threshold": Infinity', '"dt": -Infinity',
+                                       '"d_threshold": 1e999'])
+    def test_non_finite_number_names_the_file(self, tmp_path, entry):
+        p = tmp_path / "x.json"
+        p.write_text('{"format": "exp/1", "episode": {%s}}' % entry)
+        with pytest.raises(ConfigurationError, match="x.json"):
+            load_config(p)
+
+    def test_non_object_root_names_the_file(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="x.json.*object"):
+            load_config(p)
+
     @pytest.mark.parametrize("key, value, section", [
         ("sensor", {"n_rays": "abc"}, "sensor"),
         ("seeds", ["a"], "config"),

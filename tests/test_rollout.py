@@ -160,6 +160,22 @@ class TestTrajectoryFiles:
         with pytest.raises(UsageError, match="sidecar"):
             load_trajectory(path)
 
+    def test_malformed_sidecar_rejected(self, tmp_path):
+        record, env, path = self.make_record(tmp_path)
+        meta_path_for(path).write_text("{not json")
+        with pytest.raises(ConfigurationError, match="JSON"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("key", ["world", "start", "goal"])
+    def test_sidecar_needs_the_keys_plots_read(self, tmp_path, key):
+        record, env, path = self.make_record(tmp_path)
+        meta_file = meta_path_for(path)
+        meta = json.loads(meta_file.read_text())
+        del meta[key]
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=key):
+            load_trajectory(path)
+
     def test_sidecar_format_checked(self, tmp_path):
         record, env, path = self.make_record(tmp_path)
         meta_file = meta_path_for(path)

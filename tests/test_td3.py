@@ -42,7 +42,6 @@ def small_config(**overrides) -> Td3Config:
         hidden_sizes=(8, 8),
         eval_every=2,
         eval_episodes=2,
-        eval_grid_cell=0.25,
     )
     base.update(overrides)
     return Td3Config(**base)
@@ -232,15 +231,15 @@ class TestActorUpdate:
             want = (1.0 - config.tau) * old[name] + config.tau * live.params
             assert np.allclose(target.params, want, atol=1e-15), name
 
-    def test_dropout_flag_controls_stochasticity(self):
-        config = small_config(dropout_p=0.5, dropout_in_actor_update=False)
+    def test_dropout_makes_the_update_depend_on_its_rng(self):
+        config = small_config(dropout_p=0.5)
         rng = np.random.default_rng(7)
         nets_a = Td3Nets.build(3, config, np.random.default_rng(1))
         nets_b = Td3Nets.build(3, config, np.random.default_rng(1))
         batch = (rng.normal(size=(16, 3)), None, None, None, None)
         actor_update(nets_a, batch, config, np.random.default_rng(10))
         actor_update(nets_b, batch, config, np.random.default_rng(99))
-        assert np.array_equal(nets_a.actor.params, nets_b.actor.params)
+        assert not np.array_equal(nets_a.actor.params, nets_b.actor.params)
 
 
 def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
@@ -342,7 +341,7 @@ class TestTrain:
         for name in ("a", "b"):
             out = tmp_path / name
             res = train([world], "residual", small_config(), episode_config=episode,
-                        sensor_config=sensor, seed=42, out_dir=out)
+                        sensor_config=sensor, seed=42, out_dir=out, oracle=ShortestPathOracle(0.25))
             runs.append(res)
         assert runs[0].log == runs[1].log
         bytes_a = runs[0].checkpoint_path.read_bytes()
@@ -352,7 +351,7 @@ class TestTrain:
     def test_log_rows_are_well_formed(self, tmp_path):
         world = make_empty_world(side=6.0)
         res = train([world], "end_to_end", small_config(), episode_config=EpisodeConfig(max_steps=25),
-                    seed=3, out_dir=tmp_path / "run")
+                    seed=3, out_dir=tmp_path / "run", oracle=ShortestPathOracle(0.25))
         assert [r.episode for r in res.log] == [1, 2, 3]
         for row in res.log:
             assert 1 <= row.steps <= 25
@@ -368,20 +367,30 @@ class TestTrain:
         out = tmp_path / "run"
         cfg = small_config(total_episodes=4)
         train([world], "residual", cfg, episode_config=EpisodeConfig(max_steps=20),
-              seed=9, out_dir=out)
+              seed=9, out_dir=out, oracle=ShortestPathOracle(0.25))
         assert (out / "snapshot" / "state.json").exists()
         cfg2 = small_config(total_episodes=6)
         res = train([world], "residual", cfg2, episode_config=EpisodeConfig(max_steps=20),
-                    seed=9, out_dir=out, resume_from=out)
+                    seed=9, out_dir=out, resume_from=out, oracle=ShortestPathOracle(0.25))
         assert [r.episode for r in res.log] == [5, 6]
 
     def test_resume_rejects_mismatched_observation_dim(self, tmp_path):
         world = make_empty_world(side=6.0)
         out = tmp_path / "run"
         train([world], "residual", small_config(total_episodes=2), seed=1,
-              episode_config=EpisodeConfig(max_steps=15), out_dir=out)
+              episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
         with pytest.raises(ConfigurationError, match="dim"):
             train([world], "end_to_end", small_config(total_episodes=3), seed=1,
+                  episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
+
+    def test_resume_rejects_a_state_file_without_episode(self, tmp_path):
+        world = make_empty_world(side=6.0)
+        out = tmp_path / "run"
+        train([world], "residual", small_config(total_episodes=2), seed=1,
+              episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
+        (out / "snapshot" / "state.json").write_text('{"mode": "residual"}\n')
+        with pytest.raises(ConfigurationError, match="state.json.*episode"):
+            train([world], "residual", small_config(total_episodes=3), seed=1,
                   episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
 
     def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path, monkeypatch):
@@ -403,12 +412,30 @@ class TestTrain:
 
         monkeypatch.setattr("resnav.td3.critic_update", spy)
         res = train([make_empty_world(side=6.0)], "residual", small_config(total_episodes=4),
-                    episode_config=EpisodeConfig(max_steps=40, gamma=0.9), seed=5)
+                    episode_config=EpisodeConfig(max_steps=40, gamma=0.9), seed=5,
+                    oracle=ShortestPathOracle(0.25))
         assert seen and set(seen) == {0.9}
         successes = [row for row in res.log if row.success]
         assert successes
         for row in successes:
             assert row.ret == pytest.approx(0.9 ** (row.steps - 1), rel=1e-12)
+
+    def test_periodic_eval_scores_with_the_given_oracle(self, monkeypatch):
+        world = make_empty_world(side=6.0)
+        episode = EpisodeConfig(max_steps=40)
+        config = small_config(total_episodes=2, eval_every=2, eval_episodes=3)
+        oracle = ShortestPathOracle(0.25)
+        queries = []
+        shortest = oracle.shortest
+        monkeypatch.setattr(oracle, "shortest", lambda *args: queries.append(args) or shortest(*args))
+        monkeypatch.setattr("resnav.td3.ShortestPathOracle", None)  # no other oracle may be built
+        res = train([world], "residual", config, episode_config=episode, seed=5, oracle=oracle)
+        assert len(queries) == config.eval_episodes
+        policy = ResidualPolicy(res.actor, single_pass=True)
+        want = evaluate([world], {"greedy": policy}, config.eval_episodes, seed_base=5 * 100_000,
+                        episode_config=episode, oracle=ShortestPathOracle(0.25))["greedy"]
+        assert (res.log[-1].eval_success, res.log[-1].eval_spl) == (want.success_rate, want.spl)
+        assert want.spl > 0.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -475,9 +502,10 @@ class TestResumeLog:
         out = tmp_path / "run"
         episode = EpisodeConfig(max_steps=20)
         first = train([world], "residual", small_config(total_episodes=4, eval_every=2),
-                      episode_config=episode, seed=9, out_dir=out)
+                      episode_config=episode, seed=9, out_dir=out, oracle=ShortestPathOracle(0.25))
         resumed = train([world], "residual", small_config(total_episodes=6, eval_every=2),
-                        episode_config=episode, seed=9, out_dir=out, resume_from=out)
+                        episode_config=episode, seed=9, out_dir=out, resume_from=out,
+                        oracle=ShortestPathOracle(0.25))
         rows = read_training_log(out / "train_log.csv")
         assert [r.episode for r in rows] == [1, 2, 3, 4, 5, 6]
         assert rows[:4] == first.log

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -351,6 +352,21 @@ class TestWorldSpec:
         doc["extra"] = 1
         with pytest.raises(ConfigurationError, match="extra"):
             world_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["width", "robot_radius"])
+    def test_non_finite_number_in_file_rejected(self, tmp_path, key):
+        doc = world_to_dict(make_empty_world())
+        doc[key] = math.inf
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))  # json writes Infinity
+        with pytest.raises(ConfigurationError, match="w.json"):
+            load_world(path)
+
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigurationError, match="JSON"):
+            load_world(path)
 
     def test_bad_format_rejected(self):
         doc = world_to_dict(make_empty_world())
