@@ -107,11 +107,14 @@ class Mlp:
         """Sample inverted-dropout masks for each hidden layer, or None."""
         if rng is None or self.dropout_p == 0.0 or self.n_hidden == 0:
             return None
-        keep = 1.0 - self.dropout_p
-        return [
-            (rng.random((batch, w.shape[1])) >= self.dropout_p).astype(np.float64) / keep
-            for w in self.weights[:-1]
-        ]
+        # one draw split in layer order: the same stream as one draw per layer
+        widths = self.layer_sizes[1:-1]
+        flat = np.multiply(rng.random(batch * sum(widths)) >= self.dropout_p, 1.0 / (1.0 - self.dropout_p))
+        masks, offset = [], 0
+        for w in widths:
+            masks.append(flat[offset:offset + batch * w].reshape(batch, w))
+            offset += batch * w
+        return masks
 
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Forward pass; stochastic when rng is given and dropout_p > 0."""
@@ -244,9 +247,12 @@ def mc_statistics(
     if net.dropout_p == 0.0:
         y = net.forward(arr)
         return y, np.zeros_like(y)
-    batch = np.tile(arr, (n_passes, 1))
-    ys = net.forward(batch, rng=rng)
-    return ys.mean(axis=0), ys.var(axis=0)
+    ys = net.forward(np.tile(arr, (n_passes, 1)), rng=rng)
+    # the operations of ys.mean(0) and ys.var(0), with the mean taken once
+    mean = np.add.reduce(ys, 0) / n_passes
+    d = ys - mean
+    d *= d
+    return mean, np.add.reduce(d, 0) / n_passes
 
 
 def polyak_update(target: Mlp, live: Mlp, tau: float) -> None:

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, UsageError
 from .fileio import read_json, write_atomically
 from .policy import PolicyOutput
 from .prior import Action
-from .world import world_from_dict, world_to_dict
+from .world import finite_number, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
 TRAJ_COLUMNS = (
@@ -229,5 +229,16 @@ def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
     if meta.get("format") != TRAJ_FORMAT:
         raise ConfigurationError(f"{meta_file}: unsupported format {meta.get('format')!r}")
     # materialize the embedded world to catch stale or hand-edited sidecars
-    world_from_dict(meta["world"])
+    try:
+        world_from_dict(meta["world"])
+        for key in ("start", "goal"):
+            point = meta[key]
+            if not (isinstance(point, list) and len(point) == 2):
+                raise ConfigurationError(f"{key} must be a pair of numbers, got {point!r}")
+            for value in point:
+                finite_number(value, key)
+        if meta.get("goal_radius") is not None:
+            finite_number(meta["goal_radius"], "goal_radius")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{meta_file}: {exc}") from exc
     return rows, meta

@@ -383,6 +383,9 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
     if not state_file.exists():
         raise ConfigurationError(f"no snapshot to resume from under {run_dir}")
     state = read_json(state_file, required=("episode",))
+    episode = state["episode"]
+    if isinstance(episode, bool) or not isinstance(episode, int) or episode < 0:
+        raise ConfigurationError(f"{state_file}: episode must be an integer >= 0, got {episode!r}")
     actor, _ = load_checkpoint(snap / "actor.ckpt")
     critic1, _ = load_checkpoint(snap / "critic1.ckpt")
     critic2, _ = load_checkpoint(snap / "critic2.ckpt")
@@ -392,4 +395,4 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
         )
     log_file = snap / "train_log.csv"
     history = read_training_log(log_file) if log_file.exists() else []
-    return Td3Nets.from_networks(actor, critic1, critic2, config), int(state["episode"]) + 1, history
+    return Td3Nets.from_networks(actor, critic1, critic2, config), episode + 1, history

@@ -97,6 +97,19 @@ def shape_to_dict(shape: Shape) -> dict:
     return {"type": "circle", "params": [shape.cx, shape.cy, shape.r]}
 
 
+def finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; anything else is a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise ConfigurationError(f"{what} is beyond float range") from None
+    if not math.isfinite(result):
+        raise ConfigurationError(f"{what} must be finite, got {result}")
+    return result
+
+
 def shape_from_dict(d: dict) -> Shape:
     if not isinstance(d, dict):
         raise ConfigurationError(f"shape entry must be an object, got {type(d).__name__}")
@@ -108,11 +121,11 @@ def shape_from_dict(d: dict) -> Shape:
     if kind == "rect":
         if not isinstance(params, list) or len(params) != 4:
             raise ConfigurationError(f"rect needs 4 params, got {params!r}")
-        return Rect(*[float(p) for p in params])
+        return Rect(*[finite_number(p, "rect param") for p in params])
     if kind == "circle":
         if not isinstance(params, list) or len(params) != 3:
             raise ConfigurationError(f"circle needs 3 params, got {params!r}")
-        return Circle(*[float(p) for p in params])
+        return Circle(*[finite_number(p, "circle param") for p in params])
     raise ConfigurationError(f"unknown shape type {kind!r}")
 
 
@@ -365,9 +378,9 @@ def world_from_dict(d: dict) -> WorldSpec:
     if not isinstance(d["obstacles"], list):
         raise ConfigurationError("world obstacles must be a list")
     return WorldSpec(
-        width=float(d["width"]),
-        height=float(d["height"]),
-        robot_radius=float(d["robot_radius"]),
+        width=finite_number(d["width"], "world width"),
+        height=finite_number(d["height"], "world height"),
+        robot_radius=finite_number(d["robot_radius"], "robot_radius"),
         obstacles=tuple(shape_from_dict(ob) for ob in d["obstacles"]),
         start_region=shape_from_dict(d["start_region"]),
         goal_region=shape_from_dict(d["goal_region"]),
@@ -383,4 +396,8 @@ def save_world(world: WorldSpec, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldSpec:
-    return world_from_dict(read_json(path))
+    doc = read_json(path)
+    try:
+        return world_from_dict(doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

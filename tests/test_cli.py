@@ -155,6 +155,21 @@ class TestWorkflow:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key,value", [("start", "ab"), ("goal", 5), ("goal", [1.0]), ("goal_radius", "x")])
+    def test_plot_trajectory_bad_sidecar_point(self, workspace, key, value, capsys, tmp_path):
+        _root, config = workspace
+        traj = tmp_path / "ep.csv"
+        assert main(["rollout", "--config", str(config), "--controller", "prior", "--out", str(traj)]) == 0
+        meta_file = traj.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        for planner in ([], ["--planner"]):
+            rc = main(["plot", "trajectory", str(traj), "--out", str(tmp_path / "x.svg"), *planner])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
+
     def test_resume_flag(self, workspace, capsys):
         root, config = workspace
         rc = main(["train", "--config", str(config), "--resume"])

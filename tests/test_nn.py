@@ -289,6 +289,65 @@ class TestMcStatistics:
             mc_statistics(net, np.zeros(2), 1, np.random.default_rng(0))
 
 
+def tiled_mc_reference(net: Mlp, x, n_passes: int, rng):
+    """MC statistics as n_passes tiled rows: one mask draw per layer, full forward, mean/var."""
+    keep = 1.0 - net.dropout_p
+    masks = [(rng.random((n_passes, w.shape[1])) >= net.dropout_p).astype(np.float64) / keep
+             for w in net.weights[:-1]]
+    ys = masked_forward(net, np.tile(x, (n_passes, 1)), masks)
+    return ys.mean(axis=0), ys.var(axis=0)
+
+
+def mc_case(rng, k: int):
+    """The k-th architecture of the one-pass MC cases, cycling over six kinds."""
+    n_in = int(rng.integers(1, 24))
+    n_out = int(rng.integers(1, 4))
+    a, b, c = (int(n) for n in rng.integers(2, 80, 3))
+    sizes = [
+        [21, 64, 64, 2],
+        [n_in, a, b, n_out],  # unequal widths
+        [n_in, 1, n_out],
+        [n_in, a, b, c, n_out],
+        [n_in, a, 2],  # identity output
+        [n_in, n_out],  # no hidden layer
+    ][k % 6]
+    act = "identity" if k % 6 == 4 else ("tanh" if rng.random() < 0.5 else "identity")
+    return random_net(rng, sizes=sizes, output_activation=act, dropout_p=float(rng.uniform(0.05, 0.9)))
+
+
+class TestMcOnePass:
+    def test_bit_equal_to_the_tiled_forward(self):
+        rng = np.random.default_rng(50)
+        for k in range(240):
+            net = mc_case(rng, k)
+            x = rng.normal(0, 1, net.layer_sizes[0])
+            n_passes = (2, 100)[(k // 6) % 2]
+            seed = int(rng.integers(2**32))
+            got = mc_statistics(net, x, n_passes, np.random.default_rng(seed))
+            want = tiled_mc_reference(net, x, n_passes, np.random.default_rng(seed))
+            assert np.array_equal(got[0], want[0]), (k, net.layer_sizes, n_passes)
+            assert np.array_equal(got[1], want[1]), (k, net.layer_sizes, n_passes)
+
+    def test_draw_masks_is_the_per_layer_stream(self):
+        rng = np.random.default_rng(51)
+        for k in range(30):
+            net = mc_case(rng, k)
+            batch = int(rng.integers(1, 130))
+            a, b = np.random.default_rng(k), np.random.default_rng(k)
+            got = net.draw_masks(batch, a)
+            keep = 1.0 - net.dropout_p
+            want = [(b.random((batch, w.shape[1])) >= net.dropout_p).astype(np.float64) / keep
+                    for w in net.weights[:-1]]
+            if net.n_hidden == 0:
+                assert got is None
+                continue
+            assert len(got) == len(want)
+            for g, m in zip(got, want):
+                assert g.dtype == np.float64 and np.array_equal(g, m)
+            # the same number of draws was consumed
+            assert a.random() == b.random()
+
+
 class TestDropoutPlacement:
     def test_output_layer_never_dropped(self):
         # huge dropout on a single-hidden net: outputs vary, but bias path intact

@@ -176,6 +176,19 @@ class TestTrajectoryFiles:
         with pytest.raises(ConfigurationError, match=key):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("start", "ab"), ("goal", 5), ("goal", [1.0]), ("start", [1.0, 2.0, 3.0]),
+        ("start", [1.0, "x"]), ("goal", [True, 1.0]), ("goal", [1.0, 10**400]), ("goal_radius", "x"),
+    ])
+    def test_sidecar_start_and_goal_are_pairs_of_numbers(self, tmp_path, key, value):
+        record, env, path = self.make_record(tmp_path)
+        meta_file = meta_path_for(path)
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=f"meta.json: {key}"):
+            load_trajectory(path)
+
     def test_sidecar_format_checked(self, tmp_path):
         record, env, path = self.make_record(tmp_path)
         meta_file = meta_path_for(path)

@@ -393,6 +393,17 @@ class TestTrain:
             train([world], "residual", small_config(total_episodes=3), seed=1,
                   episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
 
+    @pytest.mark.parametrize("episode", ['"two"', "1.5", "-1", "true", "null", "[1]"])
+    def test_resume_rejects_an_episode_that_is_not_a_count(self, tmp_path, episode):
+        world = make_empty_world(side=6.0)
+        out = tmp_path / "run"
+        train([world], "residual", small_config(total_episodes=2), seed=1,
+              episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
+        (out / "snapshot" / "state.json").write_text(f'{{"episode": {episode}, "mode": "residual"}}\n')
+        with pytest.raises(ConfigurationError, match="state.json.*integer >= 0"):
+            train([world], "residual", small_config(total_episodes=3), seed=1,
+                  episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
+
     def test_non_finite_loss_aborts_with_diagnostics(self, tmp_path, monkeypatch):
         monkeypatch.setattr("resnav.td3.critic_update", lambda *a, **k: float("nan"))
         world = make_empty_world(side=6.0)

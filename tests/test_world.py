@@ -362,6 +362,24 @@ class TestWorldSpec:
         with pytest.raises(ConfigurationError, match="w.json"):
             load_world(path)
 
+    @pytest.mark.parametrize("where,value", [
+        ("width", "10**400"), ("height", '"abc"'), ("robot_radius", "true"), ("obstacle", '"abc"'),
+        ("obstacle", "10**400"), ("start_region", "null"), ("goal_region", "[1]"),
+    ])
+    def test_non_number_in_file_rejected(self, tmp_path, where, value):
+        doc = world_to_dict(centered_world(8.0, obstacles=(Circle(4.0, 5.0, 0.6),)))
+        literal = str(10**400) if value == "10**400" else value
+        if where == "obstacle":
+            doc["obstacles"][0]["params"][2] = "@"
+        elif where in ("start_region", "goal_region"):
+            doc[where]["params"][0] = "@"
+        else:
+            doc[where] = "@"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(ConfigurationError, match="w.json: .*(number|float range)"):
+            load_world(path)
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("{not json")
