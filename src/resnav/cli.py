@@ -22,7 +22,7 @@ from .plots import plot_components, plot_trajectory, plot_training
 from .policy import CHECKPOINT_KIND, PolicyMode, env_mode_for, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
 from .td3 import read_training_log, train
-from .world import world_from_dict
+from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
 _CONTROLLERS = tuple(m.value for m in PolicyMode)
@@ -219,8 +219,7 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _planner_overlay(meta: dict, cell: float):
-    world = world_from_dict(meta["world"])
+def _planner_overlay(world: WorldSpec, meta: dict, cell: float):
     oracle = ShortestPathOracle(cell)
     grid = oracle.grid(world)
     start = nearest_free_cell(grid, *grid.cell_of(*meta["start"]))
@@ -241,10 +240,9 @@ def cmd_plot(args) -> int:
             logs.append(read_training_log(path))
         plot_training(logs, args.out)
     else:
-        rows, meta = load_trajectory(args.traj)
-        world = world_from_dict(meta["world"])
+        rows, meta, world = load_trajectory(args.traj)
         if args.kind == "trajectory":
-            planner = _planner_overlay(meta, args.cell) if args.planner else None
+            planner = _planner_overlay(world, meta, args.cell) if args.planner else None
             plot_trajectory(
                 rows, world, args.out, planner=planner,
                 goal=tuple(meta["goal"]), goal_radius=meta.get("goal_radius"),

@@ -1,4 +1,4 @@
-"""Occupancy rasterisation and shortest paths for the evaluation oracle.
+"""Occupancy rasterisation, reachability and shortest paths on a planner grid.
 
 Cells are occupied when their centre lies inside an obstacle inflated by
 robot_radius or within robot_radius of the arena boundary, matching the
@@ -9,8 +9,10 @@ orthogonal neighbours must be free).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,9 +65,10 @@ def rasterize(world: WorldSpec, cols: int, rows: int) -> OccupancyGrid:
     if cols < 1 or rows < 1:
         raise ConfigurationError(f"grid size must be positive, got {cols} x {rows}")
     r = world.robot_radius
-    xs = (np.arange(cols) + 0.5) * (world.width / cols)
-    ys = (np.arange(rows) + 0.5) * (world.height / rows)
-    gx, gy = np.meshgrid(xs, ys)  # (rows, cols)
+    # every cell test is separable: x terms on a (1, cols) row of cell-centre
+    # x values, y terms on a (rows, 1) column, broadcast into (rows, cols)
+    gx = ((np.arange(cols) + 0.5) * (world.width / cols))[None, :]
+    gy = ((np.arange(rows) + 0.5) * (world.height / rows))[:, None]
     occ = (gx < r) | (gx > world.width - r) | (gy < r) | (gy > world.height - r)
     for ob in world.obstacles:
         if isinstance(ob, Rect):
@@ -159,6 +162,51 @@ def astar_path(
 def astar_shortest(grid: OccupancyGrid, start: tuple[int, int], goal: tuple[int, int]) -> float:
     """Shortest 8-connected path length in metres, inf when unreachable."""
     return astar_path(grid, start, goal)[0]
+
+
+def connected(grid: OccupancyGrid, cells: Sequence[tuple[int, int]]) -> bool:
+    """True when all the given free cells lie in one 4-connected component.
+
+    This is astar_path's reachability without a search. A diagonal move needs
+    both orthogonal neighbours free, so it splits into two 4-connected moves,
+    and the cells A* can reach are exactly the start's 4-connected component.
+    A* is complete, so astar_shortest(grid, s, g) is finite exactly when
+    connected(grid, (s, g)). Components come from one pass over the runs of
+    free cells in each row: runs of adjacent rows whose columns overlap are
+    joined in a union-find (Rosenfeld & Pfaltz 1966).
+    """
+    rows, cols = grid.occupied.shape
+    for ix, iy in cells:
+        if not (0 <= ix < cols and 0 <= iy < rows) or grid.occupied[iy, ix]:
+            raise UsageError(f"cell {(ix, iy)} is outside grid {cols} x {rows} or occupied")
+    # runs are the steps of the flattened free mask, each row padded by an occupied
+    # column: runs first[iy]:first[iy + 1] lie in row iy, run k covers start[k]:end[k]
+    stride = cols + 1
+    free = np.zeros((rows, stride), np.int8)
+    np.logical_not(grid.occupied, out=free[:, :cols].view(bool))
+    steps = np.diff(free.ravel(), prepend=0)
+    flat_start = np.flatnonzero(steps == 1)
+    first = np.searchsorted(flat_start, np.arange(rows + 1) * stride).tolist()
+    start = (flat_start % stride).tolist()
+    end = (np.flatnonzero(steps == -1) % stride).tolist()
+    root = list(range(len(start)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for iy in range(rows - 1):
+        i, j = first[iy], first[iy + 1]
+        while i < first[iy + 1] and j < first[iy + 2]:
+            if start[i] < end[j] and start[j] < end[i]:
+                root[find(i)] = find(j)
+            if end[i] < end[j]:
+                i += 1
+            else:
+                j += 1
+    return len({find(bisect.bisect_right(start, ix, first[iy], first[iy + 1]) - 1)
+                for ix, iy in cells}) <= 1
 
 
 def nearest_free_cell(grid: OccupancyGrid, ix: int, iy: int, radius: int = 3) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, UsageError
 from .fileio import read_json, write_atomically
 from .policy import PolicyOutput
 from .prior import Action
-from .world import finite_number, world_from_dict, world_to_dict
+from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
 TRAJ_COLUMNS = (
@@ -212,8 +212,8 @@ def read_csv(path: str | Path, columns, types: dict, required: int = 0) -> list[
     return rows
 
 
-def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
-    """Read a trajectory CSV plus sidecar; validates layout and step numbering."""
+def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict, WorldSpec]:
+    """Read a trajectory CSV plus sidecar; validates both, returns rows, sidecar and its world."""
     path = Path(path)
     rows = [TrajectoryRow(*cells) for cells in read_csv(path, TRAJ_COLUMNS, _TRAJ_TYPES, required=4)]
     if not rows or rows[0].t != 0:
@@ -230,7 +230,7 @@ def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
         raise ConfigurationError(f"{meta_file}: unsupported format {meta.get('format')!r}")
     # materialize the embedded world to catch stale or hand-edited sidecars
     try:
-        world_from_dict(meta["world"])
+        world = world_from_dict(meta["world"])
         for key in ("start", "goal"):
             point = meta[key]
             if not (isinstance(point, list) and len(point) == 2):
@@ -241,4 +241,4 @@ def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict]:
             finite_number(meta["goal_radius"], "goal_radius")
     except ConfigurationError as exc:
         raise ConfigurationError(f"{meta_file}: {exc}") from exc
-    return rows, meta
+    return rows, meta, world

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from resnav.errors import UsageError
-from resnav.grid import SQRT2, OccupancyGrid, ShortestPathOracle, astar_path, astar_shortest, rasterize
+from resnav.grid import (
+    SQRT2,
+    OccupancyGrid,
+    ShortestPathOracle,
+    astar_path,
+    astar_shortest,
+    connected,
+    rasterize,
+)
 from resnav.world import Circle, Rect, WorldSpec, world_from_dict, world_to_dict
 from resnav.worldgen import WorldGenParams, generate_suite
 
@@ -252,6 +260,58 @@ class TestAstar:
     def test_start_equals_goal(self):
         g = grid_from_bool(np.zeros((5, 5), dtype=bool), 0.1)
         assert astar_shortest(g, (2, 2), (2, 2)) == 0.0
+
+
+class TestConnected:
+    def test_matches_astar_reachability_on_random_grids(self):
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for k in range(2400):
+            rows = 1 if k % 8 == 0 else int(rng.integers(2, 25))
+            cols = 1 if k % 8 == 4 else int(rng.integers(2, 25))
+            occ = rng.random((rows, cols)) < rng.uniform(0.1, 0.6)
+            free = [(int(ix), int(iy)) for iy, ix in np.argwhere(~occ)]
+            if not free:
+                continue
+            grid = grid_from_bool(occ, 0.05)
+            a, b, c = (free[i] for i in rng.integers(len(free), size=3))
+            for cells in ((a, b), (b, c), (a, a)):
+                want = math.isfinite(astar_shortest(grid, *cells))
+                assert connected(grid, cells) == want, (occ, cells)
+                outcomes.add(("line" if 1 in occ.shape else "grid", "same" if cells[0] == cells[1] else want))
+            # several cells: one component exactly when each reaches the first
+            want = all(math.isfinite(astar_shortest(grid, a, t)) for t in (b, c))
+            assert connected(grid, (a, b, c)) == want
+        assert outcomes == {(kind, o) for kind in ("line", "grid") for o in ("same", True, False)}
+
+    def test_cells_touching_only_diagonally_are_apart(self):
+        occ = np.array([[False, True],
+                        [True, False]])
+        grid = grid_from_bool(occ, 0.1)
+        assert astar_shortest(grid, (0, 0), (1, 1)) == math.inf
+        assert not connected(grid, ((0, 0), (1, 1)))
+
+    def test_one_orthogonal_gap_joins_two_regions(self):
+        occ = np.array([[False, False, True, False, False],
+                        [False, False, False, False, False],
+                        [False, False, True, False, False]])
+        left, gap, right = (0, 2), (2, 1), (4, 0)
+        grid = grid_from_bool(occ, 0.1)
+        assert connected(grid, (left, gap, right))
+        assert math.isfinite(astar_shortest(grid, left, right))
+        closed = occ.copy()
+        closed[1, 2] = True
+        grid = grid_from_bool(closed, 0.1)
+        assert not connected(grid, (left, right))
+        assert astar_shortest(grid, left, right) == math.inf
+
+    def test_occupied_or_outside_cell_rejected(self):
+        occ = np.zeros((4, 5), dtype=bool)
+        occ[2, 3] = True
+        grid = grid_from_bool(occ, 0.1)
+        for bad in ((3, 2), (5, 0), (0, 4), (-1, 0)):
+            with pytest.raises(UsageError):
+                connected(grid, ((0, 0), bad))
 
 
 class TestShortestPathOracle:

@@ -111,8 +111,9 @@ class TestTrajectoryFiles:
 
     def test_round_trip_preserves_rows(self, tmp_path):
         record, env, path = self.make_record(tmp_path)
-        rows, meta = load_trajectory(path)
+        rows, meta, world = load_trajectory(path)
         assert rows == record.rows
+        assert world == env.world
         assert meta["mode"] == "prior"
         assert meta["seed"] == 3
         assert meta["success"] == record.success

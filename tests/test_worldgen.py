@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from resnav.errors import ConfigurationError
-from resnav.grid import ShortestPathOracle
-from resnav.world import Circle, Rect, world_to_json
+from resnav import worldgen
+from resnav.errors import ConfigurationError, UsageError
+from resnav.grid import ShortestPathOracle, rasterize
+from resnav.world import Circle, Rect, WorldSpec, world_to_json
 from resnav.worldgen import (
     WorldGenParams,
+    _reachable,
     generate_suite,
     generate_world,
     load_suite,
@@ -129,3 +131,111 @@ class TestParamsValidation:
     def test_goal_strip_must_stay_on_its_side(self):
         with pytest.raises(ConfigurationError):
             WorldGenParams(goal_wall_offset=3.0, goal_strip_depth=1.5)
+
+
+def astar_reachable(world, params):
+    """Reachability by one A* search from the start box's centre to each goal-strip probe."""
+    oracle = ShortestPathOracle(params.planner_cell)
+    start = world.start_region.center
+    g = world.goal_region
+    probes = (
+        g.center,
+        (g.x_min + (g.x_max - g.x_min) / 2, g.y_min),
+        (g.x_min + (g.x_max - g.x_min) / 2, g.y_max),
+        (g.x_min, g.y_min + (g.y_max - g.y_min) / 2),
+        (g.x_max, g.y_min + (g.y_max - g.y_min) / 2),
+    )
+    try:
+        return all(math.isfinite(oracle.shortest(world, start, p)) for p in probes)
+    except UsageError:
+        return False
+
+
+def meshgrid_rasterize(world, cols, rows):
+    """Occupancy from full (rows, cols) coordinate arrays, one test per cell."""
+    r = world.robot_radius
+    xs = (np.arange(cols) + 0.5) * (world.width / cols)
+    ys = (np.arange(rows) + 0.5) * (world.height / rows)
+    gx, gy = np.meshgrid(xs, ys)
+    occ = (gx < r) | (gx > world.width - r) | (gy < r) | (gy > world.height - r)
+    for ob in world.obstacles:
+        if isinstance(ob, Rect):
+            dx = np.maximum(np.maximum(ob.x_min - gx, gx - ob.x_max), 0.0)
+            dy = np.maximum(np.maximum(ob.y_min - gy, gy - ob.y_max), 0.0)
+            occ |= dx * dx + dy * dy < r * r
+        else:
+            occ |= (gx - ob.cx) ** 2 + (gy - ob.cy) ** 2 < (ob.r + r) ** 2
+    return occ
+
+
+# a 6 m arena like the evaluation suites', and a crowded 4 m one whose
+# generation rejects some candidate worlds as unreachable
+SMALL_ARENA = WorldGenParams(width=6.0, height=6.0, n_obstacles_min=3, n_obstacles_max=5,
+                             goal_wall_offset=1.5, goal_strip_margin=1.2)
+CROWDED = WorldGenParams(
+    width=4.0, height=4.0, n_obstacles_min=5, n_obstacles_max=7, pairwise_clearance=0.0,
+    start_clearance=0.2, goal_clearance=0.15, wall_clearance=0.0, start_box_half=0.2,
+    goal_wall_offset=0.3, goal_strip_depth=0.2, goal_strip_margin=0.3,
+    rect_side_min=0.3, rect_side_max=2.5, circle_radius_max=0.9,
+)
+
+
+def walled_world(gap: bool) -> WorldSpec:
+    """Default arena with an east goal strip behind a wall of rectangles at x = 5.6..6."""
+    params = WorldGenParams()
+    lower = 3.4 if gap else 4.0  # a 0.6 m gap is wider than the 0.3 m robot
+    wall = (Rect(5.6, 0.0, 6.0, 2.0), Rect(5.6, 2.0, 6.0, lower),
+            Rect(5.6, 4.0, 6.0, 6.0), Rect(5.6, 6.0, 6.0, 8.0))
+    return WorldSpec(params.width, params.height, params.robot_radius, wall,
+                     params.start_region(), params.goal_region("east"))
+
+
+class TestReachability:
+    def test_sealed_goal_strip_is_unreachable(self):
+        world = walled_world(gap=False)
+        assert not _reachable(world, WorldGenParams())
+        assert not astar_reachable(world, WorldGenParams())
+
+    def test_one_gap_makes_the_strip_reachable(self):
+        world = walled_world(gap=True)
+        assert _reachable(world, WorldGenParams())
+        assert astar_reachable(world, WorldGenParams())
+
+    def test_suites_match_astar_reachability(self, monkeypatch):
+        cases = [(params, seed) for params in (WorldGenParams(), SMALL_ARENA, CROWDED) for seed in (1, 2, 3)]
+        ours = [[world_to_json(w) for w in generate_suite(p, 10, s)] for p, s in cases]
+        rejected = []
+
+        def reference(world, params):
+            ok = astar_reachable(world, params)
+            rejected.append(not ok)
+            return ok
+
+        monkeypatch.setattr(worldgen, "_reachable", reference)
+        assert ours == [[world_to_json(w) for w in generate_suite(p, 10, s)] for p, s in cases]
+        assert any(rejected)  # the rejection path was taken too
+
+
+class TestRasterize:
+    @pytest.mark.parametrize("cols, rows", [(120, 120), (37, 37), (90, 61), (17, 44), (16, 16), (1, 9), (1, 1)])
+    def test_matches_meshgrid_reference(self, cols, rows):
+        params = WorldGenParams()
+        worlds = [
+            *generate_suite(params, 6, seed=8),
+            *generate_suite(WorldGenParams(n_obstacles_min=0, n_obstacles_max=0), 1, seed=8),
+            *generate_suite(SMALL_ARENA, 6, seed=8),
+            walled_world(gap=True),  # rectangles only
+            WorldSpec(params.width, params.height, params.robot_radius,
+                      (Circle(2.0, 2.5, 0.6), Circle(6.1, 5.0, 0.3), Circle(1.5, 5.6, 0.45)),
+                      params.start_region(), params.goal_region("north")),  # circles only
+            # at 16 x 16, cell centres sit exactly robot_radius from walls and rectangle sides
+            WorldSpec(8.0, 8.0, 0.25, (Rect(2.0, 2.0, 3.0, 3.0), Circle(6.0, 2.0, 0.5)),
+                      Rect(3.5, 3.5, 4.5, 4.5), Rect(1.0, 6.5, 7.0, 7.0)),
+        ]
+        kinds = set()
+        for world in worlds:
+            kinds.add(frozenset(type(ob) for ob in world.obstacles))
+            got = rasterize(world, cols, rows).occupied
+            assert got.shape == (rows, cols)
+            assert np.array_equal(got, meshgrid_rasterize(world, cols, rows))
+        assert kinds >= {frozenset(), frozenset({Rect}), frozenset({Circle}), frozenset({Rect, Circle})}
