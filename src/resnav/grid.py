@@ -60,24 +60,41 @@ class OccupancyGrid:
         return ((ix + 0.5) * self.width / self.cols, (iy + 0.5) * self.height / self.rows)
 
 
+def _window(lo: float, hi: float, cell: float) -> slice:
+    """Cells whose centres lie in [lo, hi], with one more cell on each side.
+
+    A centre outside the window is a whole cell beyond [lo, hi], so no
+    rounding in an obstacle's test can bring it inside.
+    """
+    return slice(max(math.floor(lo / cell - 0.5), 0), max(math.floor(hi / cell - 0.5) + 2, 0))
+
+
 def rasterize(world: WorldSpec, cols: int, rows: int) -> OccupancyGrid:
     """Rasterise a world to an inflated occupancy grid."""
     if cols < 1 or rows < 1:
         raise ConfigurationError(f"grid size must be positive, got {cols} x {rows}")
     r = world.robot_radius
+    cw, ch = world.width / cols, world.height / rows
     # every cell test is separable: x terms on a (1, cols) row of cell-centre
     # x values, y terms on a (rows, 1) column, broadcast into (rows, cols)
-    gx = ((np.arange(cols) + 0.5) * (world.width / cols))[None, :]
-    gy = ((np.arange(rows) + 0.5) * (world.height / rows))[:, None]
+    gx = ((np.arange(cols) + 0.5) * cw)[None, :]
+    gy = ((np.arange(rows) + 0.5) * ch)[:, None]
     occ = (gx < r) | (gx > world.width - r) | (gy < r) | (gy > world.height - r)
     for ob in world.obstacles:
+        # an obstacle can only mark cells of its bounding box inflated by r
         if isinstance(ob, Rect):
-            dx = np.maximum(np.maximum(ob.x_min - gx, gx - ob.x_max), 0.0)
-            dy = np.maximum(np.maximum(ob.y_min - gy, gy - ob.y_max), 0.0)
-            occ |= dx * dx + dy * dy < r * r
+            sx = _window(ob.x_min - r, ob.x_max + r, cw)
+            sy = _window(ob.y_min - r, ob.y_max + r, ch)
+            x, y = gx[:, sx], gy[sy]
+            dx = np.maximum(np.maximum(ob.x_min - x, x - ob.x_max), 0.0)
+            dy = np.maximum(np.maximum(ob.y_min - y, y - ob.y_max), 0.0)
+            occ[sy, sx] |= dx * dx + dy * dy < r * r
         else:
             assert isinstance(ob, Circle)
-            occ |= (gx - ob.cx) ** 2 + (gy - ob.cy) ** 2 < (ob.r + r) ** 2
+            reach = ob.r + r
+            sx = _window(ob.cx - reach, ob.cx + reach, cw)
+            sy = _window(ob.cy - reach, ob.cy + reach, ch)
+            occ[sy, sx] |= (gx[:, sx] - ob.cx) ** 2 + (gy[sy] - ob.cy) ** 2 < reach ** 2
     occ.flags.writeable = False
     return OccupancyGrid(occupied=occ, width=world.width, height=world.height)
 
@@ -179,34 +196,33 @@ def connected(grid: OccupancyGrid, cells: Sequence[tuple[int, int]]) -> bool:
     for ix, iy in cells:
         if not (0 <= ix < cols and 0 <= iy < rows) or grid.occupied[iy, ix]:
             raise UsageError(f"cell {(ix, iy)} is outside grid {cols} x {rows} or occupied")
-    # runs are the steps of the flattened free mask, each row padded by an occupied
-    # column: runs first[iy]:first[iy + 1] lie in row iy, run k covers start[k]:end[k]
+    # runs are the changes of the flattened free mask, each row padded by an
+    # occupied column and the whole led by one: run k covers flat indices
+    # start[k]:end[k], where cell (ix, iy) is iy * stride + ix
     stride = cols + 1
-    free = np.zeros((rows, stride), np.int8)
-    np.logical_not(grid.occupied, out=free[:, :cols].view(bool))
-    steps = np.diff(free.ravel(), prepend=0)
-    flat_start = np.flatnonzero(steps == 1)
-    first = np.searchsorted(flat_start, np.arange(rows + 1) * stride).tolist()
-    start = (flat_start % stride).tolist()
-    end = (np.flatnonzero(steps == -1) % stride).tolist()
-    root = list(range(len(start)))
-
-    def find(k: int) -> int:
-        while root[k] != k:
+    free = np.zeros(rows * stride + 1, bool)
+    np.logical_not(grid.occupied, out=free[1:].reshape(rows, stride)[:, :cols])
+    changes = np.flatnonzero(free[1:] != free[:-1])
+    start, end = changes[::2], changes[1::2]
+    # run k overlaps exactly the runs lo[k]:hi[k] of the next row
+    lo = np.searchsorted(end, start + stride, "right").tolist()
+    hi = np.searchsorted(start, end + stride).tolist()
+    root = list(range(len(lo)))
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        while root[k] != k:  # find k's root, halving its path
             root[k] = k = root[root[k]]
-        return k
-
-    for iy in range(rows - 1):
-        i, j = first[iy], first[iy + 1]
-        while i < first[iy + 1] and j < first[iy + 2]:
-            if start[i] < end[j] and start[j] < end[i]:
-                root[find(i)] = find(j)
-            if end[i] < end[j]:
-                i += 1
-            else:
-                j += 1
-    return len({find(bisect.bisect_right(start, ix, first[iy], first[iy + 1]) - 1)
-                for ix, iy in cells}) <= 1
+        for j in range(a, b):
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            root[j] = k
+    start = start.tolist()
+    labels = set()
+    for ix, iy in cells:
+        k = bisect.bisect_right(start, iy * stride + ix) - 1
+        while root[k] != k:
+            k = root[k]
+        labels.add(k)
+    return len(labels) <= 1
 
 
 def nearest_free_cell(grid: OccupancyGrid, ix: int, iy: int, radius: int = 3) -> tuple[int, int]:

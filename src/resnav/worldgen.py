@@ -68,6 +68,13 @@ class WorldGenParams:
                      "wall_clearance", "pairwise_clearance"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
+        # WorldSpec refuses a region within robot_radius of an obstacle, so a
+        # smaller clearance would abort the suite instead of one candidate
+        for name in ("start_clearance", "goal_clearance"):
+            if getattr(self, name) < self.robot_radius:
+                raise ConfigurationError(
+                    f"{name}={getattr(self, name)} must be >= robot_radius={self.robot_radius}"
+                )
         if 2 * self.start_box_half >= min(self.width, self.height):
             raise ConfigurationError("start box does not fit in the arena")
         if self.goal_strip_margin * 2 >= min(self.width, self.height):
@@ -96,25 +103,31 @@ class WorldGenParams:
 
 
 def _sample_shape(params: WorldGenParams, rng: np.random.Generator) -> Shape:
-    if rng.random() < 0.5:
-        w = rng.uniform(params.rect_side_min, params.rect_side_max)
-        h = rng.uniform(params.rect_side_min, params.rect_side_max)
+    # One block of draws per candidate: the coin and three parameters, plus a
+    # fourth parameter for a rectangle. lo + (hi - lo) * u is Generator.uniform's
+    # own formula, so these are the doubles that one uniform call per parameter
+    # gave, in the same order.
+    coin, a, b, c = rng.random(4).tolist()
+    if coin < 0.5:
+        lo, hi = params.rect_side_min, params.rect_side_max
+        w = lo + (hi - lo) * a
+        h = lo + (hi - lo) * b
         x_lo = params.wall_clearance
         x_hi = params.width - params.wall_clearance - w
         y_lo = params.wall_clearance
         y_hi = params.height - params.wall_clearance - h
         if x_hi < x_lo or y_hi < y_lo:
             raise ConfigurationError("arena too small for the rectangle size range")
-        x = rng.uniform(x_lo, x_hi)
-        y = rng.uniform(y_lo, y_hi)
+        x = x_lo + (x_hi - x_lo) * c
+        y = y_lo + (y_hi - y_lo) * rng.random()
         return Rect(x, y, x + w, y + h)
-    r = rng.uniform(params.circle_radius_min, params.circle_radius_max)
+    r = params.circle_radius_min + (params.circle_radius_max - params.circle_radius_min) * a
     lo = params.wall_clearance + r
     hi_x = params.width - params.wall_clearance - r
     hi_y = params.height - params.wall_clearance - r
     if hi_x < lo or hi_y < lo:
         raise ConfigurationError("arena too small for the circle radius range")
-    return Circle(rng.uniform(lo, hi_x), rng.uniform(lo, hi_y), r)
+    return Circle(lo + (hi_x - lo) * b, lo + (hi_y - lo) * c, r)
 
 
 def _clearances_ok(shape: Shape, placed: list[Shape], start: Rect, goal: Rect,

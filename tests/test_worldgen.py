@@ -1,5 +1,6 @@
 """Tests for procedural arena generation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -132,6 +133,18 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError):
             WorldGenParams(goal_wall_offset=3.0, goal_strip_depth=1.5)
 
+    @pytest.mark.parametrize("name", ["start_clearance", "goal_clearance"])
+    def test_region_clearance_below_robot_radius_rejected(self, name):
+        # a smaller clearance would let a candidate world fail WorldSpec's
+        # region check and abort the suite without naming the parameter
+        with pytest.raises(ConfigurationError, match=name):
+            generate_suite(WorldGenParams(**{name: 0.0}), 20, 0)
+
+    def test_region_clearances_equal_to_robot_radius_generate(self):
+        params = WorldGenParams(start_clearance=0.15, goal_clearance=0.15,
+                                n_obstacles_min=10, n_obstacles_max=14)
+        assert len(generate_suite(params, 20, 0)) == 20
+
 
 def astar_reachable(world, params):
     """Reachability by one A* search from the start box's centre to each goal-strip probe."""
@@ -216,8 +229,50 @@ class TestReachability:
         assert any(rejected)  # the rejection path was taken too
 
 
+# SHA-256 of the concatenated world_to_json(w) over generate_suite(params, 10, seed).
+# Any change to the order or the mapping of the draws changes them.
+GOLDEN_SUITES = {
+    ("default", 1): "d85d9dea43d2e9abcb1131bfefade73e15531a294a4c705bfb456db5fd7726a2",
+    ("default", 2): "aebe16ad2a95fba78dd334e4854b7c2278a74f51b09b4e957f2226a364bdd2a2",
+    ("default", 3): "780742548969b0fa082ac95b1c0ca848b905625af0625fa9d363b3ea570f9fbd",
+    ("small_arena", 1): "16b85a0e9edc59d19ab09a2dcb82c82ad65157aac6d3c7867e969860ee1a1f5e",
+    ("small_arena", 2): "a30165227e36ff8ddcdd9d2ec01e89ef82baa54cd85e78f8726852643d6afc7f",
+    ("small_arena", 3): "f94ab6be0ee7a6bb0ce1dd270c23a40bfe8142798ef8b030ff055b87378aec72",
+    ("crowded", 1): "f3d83b460221214e22cd6030643a2b353d61c41983dc9dba57f328242f1e0b02",
+    ("crowded", 2): "86aae88e8ad540e70f0639291b64f33478d1b27b84e02d6810598a37121c0506",
+    ("crowded", 3): "bde4c1bf635be26eec74f7eb3eedd42a391c57d6ecce4b82731f54f36c509c47",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN_SUITES))
+def test_suites_match_golden_digests(name, seed):
+    params = {"default": WorldGenParams(), "small_arena": SMALL_ARENA, "crowded": CROWDED}[name]
+    text = "".join(world_to_json(w) for w in generate_suite(params, 10, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUITES[name, seed]
+
+
+# Hand-built worlds for the edges of rasterize's per-obstacle cell windows.
+EDGE_WORLDS = [
+    # obstacles touching the walls, so windows clip at the grid border
+    WorldSpec(8.0, 8.0, 0.15,
+              (Rect(0.0, 0.0, 1.0, 1.2), Rect(7.1, 3.0, 8.0, 4.0), Rect(2.5, 7.4, 5.0, 8.0),
+               Circle(0.5, 7.5, 0.5), Circle(4.0, 0.4, 0.4), Circle(7.6, 6.0, 0.4)),
+              Rect(3.5, 3.5, 4.5, 4.5), Rect(5.5, 5.0, 6.5, 6.0)),
+    # at 16 x 20 (0.5 m x 0.4 m cells) inflated box edges fall on cell centres:
+    # x = 1.75, 3.25, 5.25 and 6.75, y = 2.2, 3.8 and 5.8
+    WorldSpec(8.0, 8.0, 0.25,
+              (Rect(2.0, 2.45, 3.0, 3.55), Circle(6.0, 2.0, 0.5), Rect(0.0, 6.05, 1.5, 8.0)),
+              Rect(3.5, 3.5, 4.5, 4.5), Rect(5.0, 6.0, 7.0, 7.0)),
+    # a non-square arena with obstacles on the west and south walls
+    WorldSpec(8.0, 5.0, 0.2,
+              (Rect(0.0, 2.0, 0.8, 3.0), Circle(7.5, 4.5, 0.5), Rect(3.0, 0.0, 3.6, 1.0)),
+              Rect(3.6, 2.0, 4.4, 2.8), Rect(6.0, 1.0, 7.0, 2.0)),
+]
+
+
 class TestRasterize:
-    @pytest.mark.parametrize("cols, rows", [(120, 120), (37, 37), (90, 61), (17, 44), (16, 16), (1, 9), (1, 1)])
+    @pytest.mark.parametrize("cols, rows", [(120, 120), (37, 37), (90, 61), (17, 44), (16, 16),
+                                            (1, 9), (1, 1), (16, 20), (32, 40), (160, 100), (9, 1)])
     def test_matches_meshgrid_reference(self, cols, rows):
         params = WorldGenParams()
         worlds = [
@@ -231,6 +286,7 @@ class TestRasterize:
             # at 16 x 16, cell centres sit exactly robot_radius from walls and rectangle sides
             WorldSpec(8.0, 8.0, 0.25, (Rect(2.0, 2.0, 3.0, 3.0), Circle(6.0, 2.0, 0.5)),
                       Rect(3.5, 3.5, 4.5, 4.5), Rect(1.0, 6.5, 7.0, 7.0)),
+            *EDGE_WORLDS,
         ]
         kinds = set()
         for world in worlds:
