@@ -16,7 +16,7 @@ from .env import NavEnv
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .evaluation import eval_seed, evaluate
 from .fileio import write_atomically
-from .grid import ShortestPathOracle, astar_path, nearest_free_cell
+from .grid import ShortestPathOracle, astar_path, nearest_free_cell, planner_grid
 from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
 from .policy import CHECKPOINT_KIND, PolicyMode, env_mode_for, make_policy
@@ -220,8 +220,7 @@ def cmd_rollout(args) -> int:
 
 
 def _planner_overlay(world: WorldSpec, meta: dict, cell: float):
-    oracle = ShortestPathOracle(cell)
-    grid = oracle.grid(world)
+    grid = planner_grid(world, cell)
     start = nearest_free_cell(grid, *grid.cell_of(*meta["start"]))
     goal = nearest_free_cell(grid, *grid.cell_of(*meta["goal"]))
     _length, cells = astar_path(grid, start, goal)

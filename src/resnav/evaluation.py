@@ -78,22 +78,19 @@ class ModeResult:
 
     @property
     def success_rate(self) -> float:
-        if not self.episodes:
-            return 0.0
-        return sum(e.success for e in self.episodes) / len(self.episodes)
+        return _mean([e.success for e in self.episodes])
 
     @property
     def spl(self) -> float:
-        terms = [e.spl_term for e in self.episodes if e.spl_term is not None]
-        if not terms:
-            return 0.0
-        return sum(terms) / len(terms)
+        return _mean([e.spl_term for e in self.episodes if e.spl_term is not None])
 
     @property
     def mean_actuation_s(self) -> float:
-        if not self.episodes:
-            return 0.0
-        return sum(e.actuation_s for e in self.episodes) / len(self.episodes)
+        return _mean([e.actuation_s for e in self.episodes])
+
+
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass

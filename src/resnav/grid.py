@@ -247,37 +247,40 @@ def nearest_free_cell(grid: OccupancyGrid, ix: int, iy: int, radius: int = 3) ->
     return (best[1], best[2])
 
 
-class ShortestPathOracle:
-    """Caches rasterized grids and shortest-path queries per world.
+def planner_grid(world: WorldSpec, cell: float) -> OccupancyGrid:
+    """The world's planner grid at this cell size, rasterised once per (world, cell).
 
-    Worlds are keyed by value (WorldSpec is frozen and hashable): equal
-    worlds share one grid, and the cache keeps its worlds alive, so a new
-    world can never be served the entry of a freed one.
-    Query endpoints snap to the nearest free cell within a few cells.
+    Cached on the world, so it can only ever answer for that world.
+    """
+    grid = world._planner.get(cell)
+    if grid is None:
+        if not cell > 0.0:
+            raise ConfigurationError(f"cell size must be positive, got {cell}")
+        cols = max(2, round(world.width / cell))
+        rows = max(2, round(world.height / cell))
+        grid = world._planner[cell] = rasterize(world, cols, rows)
+    return grid
+
+
+class ShortestPathOracle:
+    """Shortest-path lengths on each world's planner grid at one cell size.
+
+    Grids and A* lengths are cached on the world (see planner_grid); the
+    oracle only fixes the cell. Query endpoints snap to the nearest free
+    cell within a few cells.
     """
 
     def __init__(self, cell: float = 0.05) -> None:
-        if cell <= 0.0:
+        if not cell > 0.0:
             raise ConfigurationError(f"cell size must be positive, got {cell}")
         self.cell = cell
-        self._grids: dict[WorldSpec, OccupancyGrid] = {}
-        self._lengths: dict[tuple[WorldSpec, tuple[int, int], tuple[int, int]], float] = {}
-
-    def grid(self, world: WorldSpec) -> OccupancyGrid:
-        # one lookup per query: a frozen dataclass recomputes its hash on every use
-        grid = self._grids.get(world)
-        if grid is None:
-            cols = max(2, round(world.width / self.cell))
-            rows = max(2, round(world.height / self.cell))
-            grid = self._grids[world] = rasterize(world, cols, rows)
-        return grid
 
     def shortest(self, world: WorldSpec, start_xy, goal_xy) -> float:
-        grid = self.grid(world)
+        grid = planner_grid(world, self.cell)
         s = nearest_free_cell(grid, *grid.cell_of(*start_xy))
         g = nearest_free_cell(grid, *grid.cell_of(*goal_xy))
-        key = (world, s, g)
-        length = self._lengths.get(key)
+        key = (self.cell, s, g)
+        length = world._planner.get(key)
         if length is None:
-            length = self._lengths[key] = astar_shortest(grid, s, g)
+            length = world._planner[key] = astar_shortest(grid, s, g)
         return length

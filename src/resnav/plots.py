@@ -220,7 +220,10 @@ def plot_components(rows: list[TrajectoryRow], path: str | Path | None = None) -
     return _write(svg, path)
 
 
-def _band_and_mean(svg: _Svg, xs, lows, highs, means, to_x, to_y, band_fill, mean_stroke) -> None:
+def _band_and_mean(svg: _Svg, xs, values, to_x, to_y, band_fill, mean_stroke) -> None:
+    """Mean of each x's values across runs, over a min-to-max band."""
+    lows, highs = [min(v) for v in values], [max(v) for v in values]
+    means = [sum(v) / len(v) for v in values]
     if len(xs) > 1 and any(h > l for h, l in zip(highs, lows)):
         upper = [(to_x(x), to_y(h)) for x, h in zip(xs, highs)]
         lower = [(to_x(x), to_y(l)) for x, l in zip(reversed(xs), reversed(lows))]
@@ -254,12 +257,7 @@ def plot_training(logs: list[list[TrainLogRow]], path: str | Path | None = None)
         return margin + (1.0 - v / max_len) * panel_h
 
     svg.rect(margin, margin, plot_w, panel_h, fill="#ffffff", stroke=_ARENA_STROKE)
-    _band_and_mean(
-        svg, episodes,
-        [min(v) for v in lengths], [max(v) for v in lengths],
-        [sum(v) / len(v) for v in lengths],
-        x_of, y_top, _BAND_FILL, _MEAN_STROKE,
-    )
+    _band_and_mean(svg, episodes, lengths, x_of, y_top, _BAND_FILL, _MEAN_STROKE)
     svg.text(margin, margin - 8, "episode path length, m (mean and min..max across runs)")
     svg.text(margin - 4, y_top(max_len) + 4, _f(max_len), anchor="end")
     svg.text(margin - 4, y_top(0.0) + 4, "0", anchor="end")
@@ -276,12 +274,7 @@ def plot_training(logs: list[list[TrainLogRow]], path: str | Path | None = None)
         succ = [[log[index[ep]].eval_success for log in logs] for ep in eval_eps]
         if any(s is None for vals in succ for s in vals):
             raise ConfigurationError("training logs disagree on evaluation episodes")
-        _band_and_mean(
-            svg, eval_eps,
-            [min(v) for v in succ], [max(v) for v in succ],
-            [sum(v) / len(v) for v in succ],
-            x_of, y_bot, _EVAL_BAND_FILL, _EVAL_STROKE,
-        )
+        _band_and_mean(svg, eval_eps, succ, x_of, y_bot, _EVAL_BAND_FILL, _EVAL_STROKE)
     svg.text(margin, top2 - 8, "greedy evaluation success rate")
     svg.text(margin - 4, y_bot(1.0) + 4, "1", anchor="end")
     svg.text(margin - 4, y_bot(0.0) + 4, "0", anchor="end")

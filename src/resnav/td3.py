@@ -57,6 +57,9 @@ class Td3Config:
                      "eval_every", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.batch_size > self.buffer_capacity:  # train would never make an update
+            raise ConfigurationError(f"batch_size={self.batch_size} exceeds "
+                                     f"buffer_capacity={self.buffer_capacity}")
         if self.warmup_steps < 0:
             raise ConfigurationError("warmup_steps must be >= 0")
         for name in ("smoothing_noise_sigma", "smoothing_noise_clip", "exploration_noise_sigma"):
@@ -241,9 +244,13 @@ def _periodic_eval(envs, actor: Mlp, mode: str, n_episodes: int, oracle: Shortes
     return result.success_rate, result.spl
 
 
-def _dump_divergence(out_dir: Path | None, info: dict) -> None:
-    if out_dir is not None:
-        write_atomically(out_dir / "divergence.json", json.dumps(info, indent=2, sort_keys=True) + "\n")
+def _check_finite(out_dir: Path | None, name: str, loss: float, episode: int, step: int, seed: int) -> None:
+    """Raise TrainingDiverged on a non-finite loss, leaving divergence.json in out_dir."""
+    if not math.isfinite(loss):
+        info = {"episode": episode, "step": step, f"{name}_loss": loss, "seed": seed}
+        if out_dir is not None:
+            write_atomically(out_dir / "divergence.json", json.dumps(info, indent=2, sort_keys=True) + "\n")
+        raise TrainingDiverged(f"{name} loss diverged at episode {episode}", info)
 
 
 def train(
@@ -329,16 +336,10 @@ def train(
             if total_steps >= config.warmup_steps and len(buffer) >= config.batch_size:
                 batch = buffer.sample(rng_batch, config.batch_size)
                 closs = critic_update(nets, batch, config, episode_config.gamma, rng_update)
-                if not math.isfinite(closs):
-                    info = {"episode": ep, "step": total_steps, "critic_loss": closs, "seed": seed}
-                    _dump_divergence(out_path, info)
-                    raise TrainingDiverged(f"critic loss diverged at episode {ep}", info)
+                _check_finite(out_path, "critic", closs, ep, total_steps, seed)
                 if nets.adam_critics[0].t % config.policy_delay == 0:
                     aloss = actor_update(nets, batch, config, rng_update)
-                    if not math.isfinite(aloss):
-                        info = {"episode": ep, "step": total_steps, "actor_loss": aloss, "seed": seed}
-                        _dump_divergence(out_path, info)
-                        raise TrainingDiverged(f"actor loss diverged at episode {ep}", info)
+                    _check_finite(out_path, "actor", aloss, ep, total_steps, seed)
             if result.terminal is not None:
                 break
 

@@ -3,14 +3,15 @@
 The arena occupies [0, width] x [0, height] with x to the right and y up.
 Angles are radians, counter-clockwise from +x, always wrapped to (-pi, pi].
 A WorldSpec never changes after construction and can be shared freely
-between episode runners; derived ray-casting arrays are cached on it.
+between episode runners; derived ray-casting arrays and planner data are
+cached on it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -190,6 +191,9 @@ class WorldSpec:
     obstacles: tuple[Shape, ...]
     start_region: Shape
     goal_region: Shape
+    # planner data cached by resnav.grid: the grid per cell size and the A* length
+    # per (cell, start cell, goal cell); derived, so no part of the world's value
+    _planner: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))

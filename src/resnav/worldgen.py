@@ -13,13 +13,14 @@ planner grid. Reachability is a connected-component test on that grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import ShortestPathOracle, connected, nearest_free_cell
+from .grid import connected, nearest_free_cell, planner_grid
 from .world import Circle, Rect, Shape, WorldSpec, load_world, save_world, shape_distance
 
 _WORLD_TRIES = 100
@@ -49,6 +50,9 @@ class WorldGenParams:
     planner_cell: float = 0.05
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.width <= 0 or self.height <= 0 or self.robot_radius <= 0:
             raise ConfigurationError("arena dimensions and robot radius must be positive")
         if not 0 <= self.n_obstacles_min <= self.n_obstacles_max:
@@ -140,16 +144,11 @@ def _clearances_ok(shape: Shape, placed: list[Shape], start: Rect, goal: Rect,
 
 
 def _reachable(world: WorldSpec, params: WorldGenParams) -> bool:
-    grid = ShortestPathOracle(params.planner_cell).grid(world)
+    grid = planner_grid(world, params.planner_cell)
     g = world.goal_region
-    points = (
-        world.start_region.center,
-        g.center,
-        (g.x_min + (g.x_max - g.x_min) / 2, g.y_min),
-        (g.x_min + (g.x_max - g.x_min) / 2, g.y_max),
-        (g.x_min, g.y_min + (g.y_max - g.y_min) / 2),
-        (g.x_max, g.y_min + (g.y_max - g.y_min) / 2),
-    )
+    # the strip's edge midpoints
+    mx, my = g.x_min + (g.x_max - g.x_min) / 2, g.y_min + (g.y_max - g.y_min) / 2
+    points = (world.start_region.center, g.center, (mx, g.y_min), (mx, g.y_max), (g.x_min, my), (g.x_max, my))
     try:
         cells = [nearest_free_cell(grid, *grid.cell_of(*p)) for p in points]
     except UsageError:

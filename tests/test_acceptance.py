@@ -2,8 +2,8 @@
 
 Each test here verifies one advertised guarantee end to end and prints a
 labelled PASS/FAIL line with the measured numbers.  Checks that need
-trained policies share one set of desk-scale runs (ten trainings plus
-three held-out evaluations, roughly ten minutes on a single core).  While
+trained policies share one set of desk-scale runs (ten trainings, run two
+at a time in worker processes, plus three held-out evaluations).  While
 iterating locally you can point RESNAV_ACCEPTANCE_CACHE at a directory to
 keep the runs between invocations; the official run trains from scratch.
 """
@@ -13,10 +13,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,32 +112,37 @@ def heldout_suite():
     return generate_suite(ARENA, N_HELDOUT_WORLDS, seed=HELDOUT_SUITE_SEED)
 
 
+# set in the environment a spawned worker starts from, before it imports numpy
+_ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 @pytest.fixture(scope="session")
 def trained_runs(train_suite, tmp_path_factory):
     cache = os.environ.get("RESNAV_ACCEPTANCE_CACHE")
     base = Path(cache) if cache else tmp_path_factory.mktemp("training")
-    runs: dict[tuple[str, int], TrainedRun] = {}
-    for mode in ("residual", "end_to_end"):
-        for seed in TRAIN_SEEDS:
-            out = base / f"{mode}_s{seed}"
-            if not (out / "actor.ckpt").exists():
-                train(
-                    train_suite,
-                    mode,
-                    DESK,
-                    EPISODE,
-                    SENSOR,
-                    PRIOR,
-                    seed=seed,
-                    out_dir=out,
-                )
-            runs[(mode, seed)] = TrainedRun(
-                mode=mode,
-                seed=seed,
-                log=read_training_log(out / "train_log.csv"),
-                actor_path=out / "actor.ckpt",
-            )
-    return runs
+    outs = {(mode, seed): base / f"{mode}_s{seed}"
+            for mode in ("residual", "end_to_end") for seed in TRAIN_SEEDS}
+    # The runs are independent and deterministic, so fresh worker processes
+    # train them side by side with the same outputs; the pool starts a worker
+    # only when a run is submitted.
+    with mock.patch.dict(os.environ, _ONE_BLAS_THREAD), ProcessPoolExecutor(
+        max_workers=min(2, os.cpu_count() or 1), mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        futures = [
+            pool.submit(train, train_suite, mode, DESK, EPISODE, SENSOR, PRIOR, seed=seed, out_dir=out)
+            for (mode, seed), out in outs.items() if not (out / "actor.ckpt").exists()
+        ]
+        for future in futures:
+            future.result()
+    return {
+        (mode, seed): TrainedRun(
+            mode=mode,
+            seed=seed,
+            log=read_training_log(out / "train_log.csv"),
+            actor_path=out / "actor.ckpt",
+        )
+        for (mode, seed), out in outs.items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -104,6 +104,10 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match=f"^{section}: bad value"):
             config_from_dict({"format": EXP_FORMAT, key: value})
 
+    def test_batch_larger_than_buffer_names_both_fields(self):
+        with pytest.raises(ConfigurationError, match="batch_size=64 exceeds buffer_capacity=32"):
+            config_from_dict({"format": EXP_FORMAT, "td3": {"batch_size": 64, "buffer_capacity": 32}})
+
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="expected an object"):
             config_from_dict({"format": EXP_FORMAT, "td3": 5})

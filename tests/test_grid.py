@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from resnav.errors import UsageError
+from resnav.cli import _planner_overlay
+from resnav.env import EpisodeConfig
+from resnav.errors import ConfigurationError, UsageError
+from resnav.evaluation import evaluate
 from resnav.grid import (
     SQRT2,
     OccupancyGrid,
@@ -16,10 +19,14 @@ from resnav.grid import (
     astar_path,
     astar_shortest,
     connected,
+    planner_grid,
     rasterize,
 )
+from resnav.policy import PriorPolicy, RandomPolicy
 from resnav.world import Circle, Rect, WorldSpec, world_from_dict, world_to_dict
 from resnav.worldgen import WorldGenParams, generate_suite
+
+from conftest import make_empty_world
 
 
 def dijkstra_reference(occ: np.ndarray, start, goal) -> float:
@@ -315,19 +322,70 @@ class TestConnected:
 
 
 class TestShortestPathOracle:
-    def test_value_equal_world_hits_the_cache(self):
+    """Planner grids and A* lengths live on their world, one per (world, cell);
+    the oracle only fixes the cell."""
+
+    def test_one_rasterisation_per_world_and_cell(self, monkeypatch):
+        # world generation at one cell, SPL at another, as in tests/test_cli.py
+        gen_cell, eval_cell = 0.1, 0.2
+        calls = []
+        monkeypatch.setattr("resnav.grid.rasterize",
+                            lambda world, cols, rows: calls.append((world, cols)) or rasterize(world, cols, rows))
+        worlds = generate_suite(WorldGenParams(planner_cell=gen_cell), 3, 5)
+        evaluate(worlds, {"prior": PriorPolicy(), "random": RandomPolicy()}, 6,
+                 episode_config=EpisodeConfig(max_steps=30), oracle=ShortestPathOracle(eval_cell))
+        for world in worlds:
+            meta = {"start": world.start_region.center, "goal": world.goal_region.center}
+            for cell in (gen_cell, eval_cell):
+                assert _planner_overlay(world, meta, cell)
+        keys = [(id(world), cols) for world, cols in calls]
+        assert len(keys) == len(set(keys)), "a world was rasterised twice at one cell"
+        for world in worlds:
+            assert sorted(cols for w, cols in calls if w is world) == [40, 80]
+
+    def test_value_equal_world_builds_its_own_grid(self):
         world = generate_suite(WorldGenParams(), 1, 3)[0]
-        oracle = ShortestPathOracle(0.1)
-        grid = oracle.grid(world)
+        grid = planner_grid(world, 0.1)
+        assert planner_grid(world, 0.1) is grid
         copy = world_from_dict(world_to_dict(world))
-        assert copy is not world
-        assert oracle.grid(copy) is grid
+        # the cache is no part of the world's value
+        assert copy == world and hash(copy) == hash(world) and repr(copy) == repr(world)
+        assert world_to_dict(copy) == world_to_dict(world)
+        own = planner_grid(copy, 0.1)
+        assert own is not grid and np.array_equal(own.occupied, grid.occupied)
 
     def test_cached_grids_match_fresh_rasterization(self):
         # each world is freed right after its query, so a later world can be
-        # allocated at the same address; the cache must not mistake it for the old one
-        oracle = ShortestPathOracle(0.1)
+        # allocated at the same address; it must still get its own grid
         for seed in range(30):
-            grid = oracle.grid(generate_suite(WorldGenParams(), 1, seed)[0])
+            grid = planner_grid(generate_suite(WorldGenParams(), 1, seed)[0], 0.1)
             fresh = rasterize(generate_suite(WorldGenParams(), 1, seed)[0], grid.cols, grid.rows)
             assert np.array_equal(grid.occupied, fresh.occupied), f"stale grid for world seed {seed}"
+
+    def test_oracle_keeps_only_its_cell(self, monkeypatch):
+        world = generate_suite(WorldGenParams(), 1, 3)[0]
+        searches = []
+        monkeypatch.setattr("resnav.grid.astar_shortest",
+                            lambda *args: searches.append(args) or astar_shortest(*args))
+        start, goal = world.start_region.center, world.goal_region.center
+        first = ShortestPathOracle(0.1).shortest(world, start, goal)
+        oracle = ShortestPathOracle(0.1)
+        assert oracle.shortest(world, start, goal) == first
+        assert len(searches) == 1  # the length is cached on the world, not the oracle
+        assert vars(oracle) == {"cell": 0.1}
+        ShortestPathOracle(0.2).shortest(world, start, goal)
+        assert len(searches) == 2
+
+    def test_lengths_are_kept_per_cell(self):
+        # one (start cell, goal cell) pair names a different path at each cell size
+        world = make_empty_world(side=8.0)
+        fine = ShortestPathOracle(0.1).shortest(world, (2.05, 2.05), (3.05, 3.05))
+        coarse = ShortestPathOracle(0.2).shortest(world, (4.1, 4.1), (6.1, 6.1))
+        assert coarse == pytest.approx(2 * fine)
+
+    @pytest.mark.parametrize("cell", [0.0, -0.1, math.nan])
+    def test_cell_must_be_positive(self, cell):
+        with pytest.raises(ConfigurationError, match="cell size"):
+            ShortestPathOracle(cell)
+        with pytest.raises(ConfigurationError, match="cell size"):
+            planner_grid(generate_suite(WorldGenParams(), 1, 3)[0], cell)

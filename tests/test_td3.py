@@ -470,6 +470,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             Td3Config(exploration_noise_sigma=-0.1)
 
+    def test_batch_larger_than_buffer_rejected(self):
+        # such a buffer never holds a full batch, so train would make no update
+        with pytest.raises(ConfigurationError, match="batch_size=64 exceeds buffer_capacity=32"):
+            Td3Config(batch_size=64, buffer_capacity=32)
+        assert Td3Config(batch_size=32, buffer_capacity=32).batch_size == 32
+
 
 class TestTrainingLogIo:
     def test_round_trip_preserves_optional_fields(self, tmp_path):

@@ -140,6 +140,17 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError, match=name):
             generate_suite(WorldGenParams(**{name: 0.0}), 20, 0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", [
+        "width", "height", "robot_radius", "rect_side_min", "rect_side_max",
+        "circle_radius_min", "circle_radius_max", "start_box_half", "goal_strip_depth",
+        "goal_strip_margin", "goal_wall_offset", "start_clearance", "goal_clearance",
+        "wall_clearance", "pairwise_clearance", "planner_cell",
+    ])
+    def test_non_finite_float_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            WorldGenParams(**{name: value})
+
     def test_region_clearances_equal_to_robot_radius_generate(self):
         params = WorldGenParams(start_clearance=0.15, goal_clearance=0.15,
                                 n_obstacles_min=10, n_obstacles_max=14)
