@@ -19,7 +19,7 @@ from .fileio import write_atomically
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell, planner_grid
 from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
-from .policy import CHECKPOINT_KIND, PolicyMode, env_mode_for, make_policy
+from .policy import CHECKPOINT_KIND, PolicyMode, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
 from .td3 import read_training_log, train
 from .world import WorldSpec
@@ -203,12 +203,7 @@ def cmd_rollout(args) -> int:
     worlds = _pick_suite(config, args.worlds)
     if not 0 <= args.world_index < len(worlds):
         raise UsageError(f"world index {args.world_index} outside 0..{len(worlds) - 1}")
-    env = NavEnv(
-        worlds[args.world_index],
-        episode=config.episode, sensor=config.sensor,
-        mode=env_mode_for(policy.mode),
-        prior_params=config.prior if env_mode_for(policy.mode) == "residual" else None,
-    )
+    env = NavEnv(worlds[args.world_index], config.episode, config.sensor, config.prior)
     record = run_episode(env, policy, eval_seed(config.evaluation.seed_base, args.episode_seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .fileio import read_json, write_atomically
 from .prior import PriorParams
 from .td3 import Td3Config
@@ -51,6 +51,7 @@ class EvaluationConfig:
     seed_base: int = 0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.n_episodes < 1:
             raise ConfigurationError("evaluation n_episodes must be >= 1")
         if self.n_passes < 2:

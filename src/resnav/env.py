@@ -1,20 +1,20 @@
 """Point-goal navigation episodes over a WorldSpec.
 
 Builds the policy observation, advances the unicycle, and classifies
-terminal outcomes. Residual mode produces a 21-dim observation that ends
-with the prior's command for the current state; end-to-end mode drops
-those two slots and is 19-dim.
+terminal outcomes. Every observation is 21-dim and ends with the prior's
+command for the current state; an end-to-end controller reads its first
+E2E_OBS_DIM entries, without those two slots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check_finite
 from .prior import Action, PriorParams, prior_command
 from .world import (
     LaserScan,
@@ -36,7 +36,7 @@ _MAX_RESET_ATTEMPTS = 1000
 # goals seen by any evaluation pass are disjoint from the training draws.
 EVAL_SEED_OFFSET = 2**62
 
-# Observation layout (residual mode); end-to-end stops after IDX_PREV_OMEGA.
+# Observation layout; the end-to-end prefix stops after IDX_PREV_OMEGA.
 IDX_ANGLE_TO_GOAL = 15
 IDX_DIST_TO_GOAL = 16
 IDX_PREV_V = 17
@@ -59,6 +59,7 @@ class EpisodeConfig:
     dt: float = 0.1  # s
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.d_threshold <= 0.0:
             raise ConfigurationError(f"d_threshold must be positive, got {self.d_threshold}")
         if self.max_steps < 1:
@@ -75,6 +76,7 @@ class SensorConfig:
     max_range: float = 5.0  # m
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.n_rays < N_BINS or self.n_rays % N_BINS != 0:
             raise ConfigurationError(
                 f"n_rays must be >= {N_BINS} and divisible by {N_BINS}, got {self.n_rays}"
@@ -88,7 +90,7 @@ class StepResult:
     observation: np.ndarray
     reward: float
     terminal: Terminal | None
-    info: dict = field(default_factory=dict)
+    executed: Action  # the command after clipping to [-1, 1]
 
 
 def compute_reward(d_target: float, config: EpisodeConfig) -> float:
@@ -112,26 +114,19 @@ def build_observation(
     laser: LaserScan,
     goal: tuple[float, float],
     prev_action: Action,
-    prior_action: Action | None,
-    mode: str = "residual",
+    prior_action: Action,
 ) -> np.ndarray:
     """Assemble the policy observation vector; goal is goal_polar's (angle, distance).
 
     Layout: 15 laser bins (min range per bin / max_range), angle to goal
     (rad, robot frame), distance to goal (m), previous executed (v, omega),
-    then in residual mode the prior command (v, omega).
+    then the prior command (v, omega).
     """
     n = len(laser.ranges)
     if n % N_BINS != 0:
         raise ConfigurationError(f"scan with {n} rays does not divide into {N_BINS} bins")
     bins = laser.ranges.reshape(N_BINS, n // N_BINS).min(axis=1) / laser.max_range
-    tail = [*goal, prev_action.v, prev_action.omega]
-    if mode == "residual":
-        if prior_action is None:
-            raise UsageError("residual observation requires a prior action")
-        tail += [prior_action.v, prior_action.omega]
-    elif mode != "end_to_end":
-        raise ConfigurationError(f"unknown observation mode {mode!r}")
+    tail = [*goal, prev_action.v, prev_action.omega, prior_action.v, prior_action.omega]
     return np.concatenate([bins, np.array(tail, dtype=np.float64)])
 
 
@@ -155,17 +150,13 @@ class NavEnv:
         world: WorldSpec,
         episode: EpisodeConfig | None = None,
         sensor: SensorConfig | None = None,
-        mode: str = "residual",
         prior_params: PriorParams | None = None,
     ) -> None:
-        if mode not in ("residual", "end_to_end"):
-            raise ConfigurationError(f"unknown env mode {mode!r}")
         self.world = world
         self.episode = episode or EpisodeConfig()
         self.sensor = sensor or SensorConfig()
-        self.mode = mode
-        self.prior_params = prior_params or (PriorParams() if mode == "residual" else None)
-        if self.prior_params is not None and self.prior_params.d_influence > self.sensor.max_range:
+        self.prior_params = prior_params or PriorParams()
+        if self.prior_params.d_influence > self.sensor.max_range:
             raise ConfigurationError(
                 f"prior d_influence={self.prior_params.d_influence} exceeds "
                 f"laser max_range={self.sensor.max_range}"
@@ -198,7 +189,7 @@ class NavEnv:
     @property
     def last_prior_action(self) -> Action:
         if self._prior_action is None:
-            raise UsageError("no prior action available (end-to-end mode or before reset)")
+            raise UsageError("reset the environment before reading its state")
         return self._prior_action
 
     def reset(self, seed: int) -> np.ndarray:
@@ -241,20 +232,12 @@ class NavEnv:
         elif self._steps >= self.episode.max_steps:
             self._terminal = Terminal.TIMEOUT
 
-        executed = Action(v, omega)
-        self._prev_action = executed
-        observation = self._observe()
-        info = {
-            "pose": self._pose,
-            "d_target": d_target,
-            "executed": executed,
-            "prior_action": self._prior_action,
-        }
-        return StepResult(observation, compute_reward(d_target, self.episode), self._terminal, info)
+        self._prev_action = Action(v, omega)
+        return StepResult(self._observe(), compute_reward(d_target, self.episode), self._terminal,
+                          self._prev_action)
 
     def _observe(self) -> np.ndarray:
         laser = scan(self._pose, self.sensor.n_rays, self.sensor.max_range, self.world)
         polar = goal_polar(self._pose, self._goal)
-        if self.mode == "residual":
-            self._prior_action = prior_command(laser, *polar, self.prior_params)
-        return build_observation(laser, polar, self._prev_action, self._prior_action, self.mode)
+        self._prior_action = prior_command(laser, *polar, self.prior_params)
+        return build_observation(laser, polar, self._prev_action, self._prior_action)

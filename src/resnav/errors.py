@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of every config."""
+
+import math
+from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
@@ -15,3 +18,11 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None) -> None:
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+def check_finite(config) -> None:
+    """Reject a non-finite float in any field of a config dataclass, naming the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")

@@ -5,21 +5,21 @@ seeds, hence identical start and goal draws), so the comparison is
 paired. Path efficiency weights each success by the ratio of the
 planner's shortest path to the driven path; failures contribute zero.
 eval_seed and score_episode define a paired episode's seed and score for
-every caller: evaluate, the trainer's periodic evaluation and `resnav
-rollout`.
+every caller: paired_episodes (which runs evaluate and the trainer's
+periodic evaluation alike) and `resnav rollout`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig
 from .errors import ConfigurationError
 from .grid import ShortestPathOracle
-from .policy import PolicyMode, env_mode_for
 from .prior import PriorParams
 from .rollout import run_episode, write_csv
 from .world import WorldSpec
@@ -114,6 +114,20 @@ class EvalResult:
                                               for res in self.results.values() for e in res.episodes))
 
 
+def paired_episodes(label: str, envs: list[NavEnv], n_episodes: int, seed_base: int,
+                    oracle: ShortestPathOracle, episode: Callable[[NavEnv, int], bool]) -> ModeResult:
+    """Score episode(env, seed), which returns success, on each paired episode in turn.
+
+    Episode i runs on envs[i % len(envs)] from eval_seed(seed_base, i).
+    """
+    result = ModeResult(mode=label, episodes=[])
+    for i in range(n_episodes):
+        env = envs[i % len(envs)]
+        seed = eval_seed(seed_base, i)
+        result.episodes.append(score_episode(label, i, seed, i % len(envs), env, episode(env, seed), oracle))
+    return result
+
+
 def evaluate(
     worlds: list[WorldSpec],
     policies: dict[str, object],
@@ -127,7 +141,8 @@ def evaluate(
     """Run each policy over the same paired episode set and aggregate.
 
     Episode i draws its start and goal from eval_seed(seed_base, i) on
-    world i % len(worlds).
+    world i % len(worlds). Every controller drives the same environment
+    per world, one controller after another.
     """
     if not worlds:
         raise ConfigurationError("evaluation needs at least one world")
@@ -135,31 +150,13 @@ def evaluate(
         raise ConfigurationError("evaluation needs at least one controller")
     if n_episodes < 1:
         raise ConfigurationError("n_episodes must be >= 1")
-    episode_config = episode_config or EpisodeConfig()
-    sensor_config = sensor_config or SensorConfig()
     oracle = oracle or ShortestPathOracle()
-
-    envs: dict[tuple[int, str], NavEnv] = {}
-
-    def env_for(world_index: int, policy) -> NavEnv:
-        env_mode = env_mode_for(PolicyMode(policy.mode))
-        key = (world_index, env_mode)
-        if key not in envs:
-            envs[key] = NavEnv(
-                worlds[world_index], episode=episode_config, sensor=sensor_config,
-                mode=env_mode,
-                prior_params=prior_params if env_mode == "residual" else None,
-            )
-        return envs[key]
-
-    results = {label: ModeResult(mode=label, episodes=[]) for label in policies}
-    for i in range(n_episodes):
-        world_index = i % len(worlds)
-        seed = eval_seed(seed_base, i)
-        for label, policy in policies.items():
-            env = env_for(world_index, policy)
-            success = run_episode(env, policy, seed).success
-            results[label].episodes.append(score_episode(label, i, seed, world_index, env, success, oracle))
+    envs = [NavEnv(w, episode_config, sensor_config, prior_params) for w in worlds]
+    results = {
+        label: paired_episodes(label, envs, n_episodes, seed_base, oracle,
+                               lambda env, seed, policy=policy: run_episode(env, policy, seed).success)
+        for label, policy in policies.items()
+    }
     dropped = sum(e.spl_term is None for res in results.values() for e in res.episodes)
     if dropped:
         warnings.warn(

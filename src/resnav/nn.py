@@ -98,6 +98,14 @@ class Mlp:
     def n_hidden(self) -> int:
         return self.n_layers - 1
 
+    def __getstate__(self) -> dict:
+        # weights and biases are views of params: pickle and deepcopy keep params alone
+        return {k: v for k, v in vars(self).items() if k not in ("weights", "biases")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind(self.params)
+
     def copy(self) -> Mlp:
         dup = copy.copy(self)
         dup._bind(self.params.copy())

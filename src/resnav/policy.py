@@ -7,7 +7,7 @@ Five interchangeable controllers over the same step interface:
 - gated: like residual, but each step estimates the correction's epistemic
   uncertainty from the spread of stochastic forward passes and, with
   probability equal to that uncertainty, falls back to the bare prior.
-- end_to_end: the network command alone (19-dim observation, no prior).
+- end_to_end: the network command alone; it reads no prior slot of the observation.
 - random: uniform commands, a floor for the metrics.
 """
 
@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .env import E2E_OBS_DIM
 from .errors import ConfigurationError, UsageError
 from .nn import Mlp, mc_statistics
 from .prior import Action, compose_hybrid
@@ -147,7 +148,7 @@ class EndToEndPolicy:
         self.actor = actor
 
     def act(self, observation, prior_action: Action | None, rng: np.random.Generator) -> PolicyOutput:
-        out = self.actor.forward(np.asarray(observation, dtype=np.float64))
+        out = self.actor.forward(np.asarray(observation, dtype=np.float64)[:E2E_OBS_DIM])
         return PolicyOutput(action=Action(float(out[0]), float(out[1])))
 
 
@@ -157,11 +158,6 @@ class RandomPolicy:
     def act(self, observation, prior_action: Action | None, rng: np.random.Generator) -> PolicyOutput:
         v, omega = rng.uniform(-1.0, 1.0, 2)
         return PolicyOutput(action=Action(float(v), float(omega)))
-
-
-def env_mode_for(mode: PolicyMode) -> str:
-    """Observation layout a policy consumes: end_to_end drops the prior slots."""
-    return "end_to_end" if mode is PolicyMode.END_TO_END else "residual"
 
 
 def make_policy(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .world import LaserScan
 
 
@@ -34,6 +34,7 @@ class PriorParams:
     v_max: float = 1.0  # m/s
 
     def __post_init__(self) -> None:
+        check_finite(self)
         for name in ("k_att", "k_rep", "d_influence", "k_omega", "v_max"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"prior parameter {name} must be positive")

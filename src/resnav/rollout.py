@@ -19,7 +19,7 @@ import numpy as np
 from .env import NavEnv, StepResult, Terminal, discounted_return
 from .errors import ConfigurationError, UsageError
 from .fileio import read_json, write_atomically
-from .policy import PolicyOutput
+from .policy import PolicyMode, PolicyOutput
 from .prior import Action
 from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
 
@@ -80,14 +80,14 @@ def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[Action | None, Polic
     """Reset `env` with `seed` and step `policy` until the episode ends.
 
     Yields (prior, output, result) after every step, where prior is the
-    prior command the policy saw (None in end-to-end mode). The env is
+    prior command the policy saw (None for an end-to-end policy). The env is
     left on the step just yielded, so its pose, start and path_length can
     be read between steps and after the last one.
     """
     obs = env.reset(seed)
     rng = policy_rng(seed)
     while True:
-        prior = env.last_prior_action if env.mode == "residual" else None
+        prior = None if policy.mode is PolicyMode.END_TO_END else env.last_prior_action
         out = policy.act(obs, prior, rng)
         result = env.step(out.action)
         yield prior, out, result
@@ -101,12 +101,11 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
     rows: list[TrajectoryRow] = []
     rewards: list[float] = []
     for prior, out, result in drive(env, policy, seed):
-        executed = result.info["executed"]
         rewards.append(result.reward)
         rows.append(TrajectoryRow(
             t=env.steps,
             x=env.pose.x, y=env.pose.y, theta=env.pose.theta,
-            v_exec=executed.v, omega_exec=executed.omega,
+            v_exec=result.executed.v, omega_exec=result.executed.omega,
             v_prior=prior.v if prior is not None else None,
             omega_prior=prior.omega if prior is not None else None,
             mu_dv=float(out.residual_mean[0]) if out.residual_mean is not None else None,

@@ -2,8 +2,8 @@
 
 Residual mode trains a correction on top of the potential-field prior: the
 executed command is clip(prior + policy_output). End-to-end mode trains
-the same architecture directly on the 19-dim observation. Rewards are the
-environment's sparse success signal; nothing is shaped.
+the same architecture on the observation without the prior's two slots.
+Rewards are the environment's sparse success signal; nothing is shaped.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return, obs_dim
-from .errors import ConfigurationError, TrainingDiverged, UsageError
-from .evaluation import ModeResult, eval_seed, score_episode
+from .errors import ConfigurationError, TrainingDiverged, UsageError, check_finite
+from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
 from .fileio import read_json, write_atomically
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
@@ -51,6 +51,7 @@ class Td3Config:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        check_finite(self)
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
         for name in ("policy_delay", "batch_size", "buffer_capacity", "total_episodes",
@@ -232,18 +233,6 @@ def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
     return result.terminal is Terminal.GOAL
 
 
-def _periodic_eval(envs, actor: Mlp, mode: str, n_episodes: int, oracle: ShortestPathOracle,
-                   seed_base: int) -> tuple[float, float]:
-    """Greedy success rate and SPL on the episodes evaluation.evaluate pairs and scores alike."""
-    result = ModeResult(mode=mode, episodes=[])
-    for i in range(n_episodes):
-        world_index = i % len(envs)
-        seed = eval_seed(seed_base, i)
-        success = greedy_episode(envs[world_index], actor, mode, seed)
-        result.episodes.append(score_episode(mode, i, seed, world_index, envs[world_index], success, oracle))
-    return result.success_rate, result.spl
-
-
 def _check_finite(out_dir: Path | None, name: str, loss: float, episode: int, step: int, seed: int) -> None:
     """Raise TrainingDiverged on a non-finite loss, leaving divergence.json in out_dir."""
     if not math.isfinite(loss):
@@ -283,9 +272,6 @@ def train(
     if not worlds:
         raise ConfigurationError("training needs at least one world")
     episode_config = episode_config or EpisodeConfig()
-    sensor_config = sensor_config or SensorConfig()
-    if mode == "residual":
-        prior_params = prior_params or PriorParams()
 
     ss = np.random.SeedSequence(seed)
     rng_init, rng_episode, rng_explore, rng_batch, rng_update = (
@@ -300,10 +286,7 @@ def train(
     else:
         nets = Td3Nets.build(dim, config, rng_init)
 
-    envs = [
-        NavEnv(w, episode=episode_config, sensor=sensor_config, mode=mode, prior_params=prior_params)
-        for w in worlds
-    ]
+    envs = [NavEnv(w, episode_config, sensor_config, prior_params) for w in worlds]
     oracle = oracle or ShortestPathOracle()
     buffer = ReplayBuffer(config.buffer_capacity, dim)
     out_path = Path(out_dir) if out_dir is not None else None
@@ -314,7 +297,7 @@ def train(
     total_steps = 0
     for ep in range(start_episode, config.total_episodes + 1):
         env = envs[int(rng_episode.integers(len(envs)))]
-        obs = env.reset(int(rng_episode.integers(EVAL_SEED_OFFSET)))
+        obs = env.reset(int(rng_episode.integers(EVAL_SEED_OFFSET)))[:dim]
         rewards: list[float] = []
         while True:
             if total_steps < config.warmup_steps:
@@ -327,9 +310,9 @@ def train(
             else:
                 executed = Action(float(policy_action[0]), float(policy_action[1]))
             result = env.step(executed)
-            buffer.add(obs, policy_action, result.reward, result.observation,
-                       bootstrap_mask(result.terminal))
-            obs = result.observation
+            next_obs = result.observation[:dim]
+            buffer.add(obs, policy_action, result.reward, next_obs, bootstrap_mask(result.terminal))
+            obs = next_obs
             rewards.append(result.reward)
             total_steps += 1
 
@@ -352,9 +335,9 @@ def train(
         )
         log.append(row)
         if ep % config.eval_every == 0:
-            row.eval_success, row.eval_spl = _periodic_eval(
-                envs, nets.actor, mode, config.eval_episodes, oracle, seed_base=seed * 100_000
-            )
+            greedy = paired_episodes(mode, envs, config.eval_episodes, seed * 100_000, oracle,
+                                     lambda env, s: greedy_episode(env, nets.actor, mode, s))
+            row.eval_success, row.eval_spl = greedy.success_rate, greedy.spl
             if out_path is not None:
                 _save_snapshot(out_path, nets, mode, history + log)
 

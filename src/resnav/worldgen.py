@@ -13,13 +13,12 @@ planner grid. Reachability is a connected-component test on that grid
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check_finite
 from .grid import connected, nearest_free_cell, planner_grid
 from .world import Circle, Rect, Shape, WorldSpec, load_world, save_world, shape_distance
 
@@ -50,9 +49,7 @@ class WorldGenParams:
     planner_cell: float = 0.05
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        check_finite(self)
         if self.width <= 0 or self.height <= 0 or self.robot_radius <= 0:
             raise ConfigurationError("arena dimensions and robot radius must be positive")
         if not 0 <= self.n_obstacles_min <= self.n_obstacles_max:

@@ -116,6 +116,13 @@ def heldout_suite():
 _ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def _timed_train(*args, **kwargs) -> float:
+    """Wall time of one train(*args, **kwargs) in the worker that runs it, in seconds."""
+    t0 = time.perf_counter()
+    train(*args, **kwargs)
+    return time.perf_counter() - t0
+
+
 @pytest.fixture(scope="session")
 def trained_runs(train_suite, tmp_path_factory):
     cache = os.environ.get("RESNAV_ACCEPTANCE_CACHE")
@@ -128,12 +135,13 @@ def trained_runs(train_suite, tmp_path_factory):
     with mock.patch.dict(os.environ, _ONE_BLAS_THREAD), ProcessPoolExecutor(
         max_workers=min(2, os.cpu_count() or 1), mp_context=multiprocessing.get_context("spawn"),
     ) as pool:
-        futures = [
-            pool.submit(train, train_suite, mode, DESK, EPISODE, SENSOR, PRIOR, seed=seed, out_dir=out)
+        futures = {
+            (mode, seed): pool.submit(_timed_train, train_suite, mode, DESK, EPISODE, SENSOR, PRIOR,
+                                      seed=seed, out_dir=out)
             for (mode, seed), out in outs.items() if not (out / "actor.ckpt").exists()
-        ]
-        for future in futures:
-            future.result()
+        }
+        for (mode, seed), future in futures.items():
+            _line(f"[acceptance] trained {mode} seed {seed} in {future.result():.1f}s")
     return {
         (mode, seed): TrainedRun(
             mode=mode,
@@ -178,7 +186,7 @@ def heldout_results(trained_runs, heldout_suite):
 
 
 def _residual_env(world) -> NavEnv:
-    return NavEnv(world, episode=EPISODE, sensor=SENSOR, mode="residual", prior_params=PRIOR)
+    return NavEnv(world, episode=EPISODE, sensor=SENSOR, prior_params=PRIOR)
 
 
 def _rows_equal(a, b) -> bool:

@@ -1,6 +1,8 @@
 """Tests for the experiment config file format."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -15,7 +17,14 @@ from resnav.config import (
     load_config,
     save_config,
 )
+from resnav.env import EpisodeConfig, SensorConfig
 from resnav.errors import ConfigurationError
+from resnav.prior import PriorParams
+from resnav.td3 import Td3Config
+
+# every float field of the config dataclasses besides WorldGenParams (tests/test_worldgen.py)
+FLOAT_FIELDS = [(cls, f.name) for cls in (EpisodeConfig, SensorConfig, PriorParams, EvaluationConfig, Td3Config)
+                for f in dataclasses.fields(cls) if isinstance(f.default, float)]
 
 
 class TestRoundTrip:
@@ -145,3 +154,9 @@ class TestValidation:
             EvaluationConfig(n_episodes=0)
         with pytest.raises(ConfigurationError):
             EvaluationConfig(n_passes=1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_non_finite_float_rejected_by_name(self, cls, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            cls(**{name: value})

@@ -113,7 +113,7 @@ class TestResetAndStep:
         env = NavEnv(empty_world)
         env.reset(seed=5)
         r = env.step(Action(3.0, -9.0))
-        assert r.info["executed"] == Action(1.0, -1.0)
+        assert r.executed == Action(1.0, -1.0)
 
     def test_d_target_matches_euclidean(self, empty_world):
         env = NavEnv(empty_world)
@@ -121,7 +121,7 @@ class TestResetAndStep:
         r = env.step(Action(0.7, 0.2))
         gx, gy = env.goal
         want = math.hypot(gx - env.pose.x, gy - env.pose.y)
-        assert r.info["d_target"] == pytest.approx(want, abs=1e-12)
+        assert r.observation[IDX_DIST_TO_GOAL] == pytest.approx(want, abs=1e-12)
 
     def test_replaying_actions_reproduces_trajectory(self, cluttered_world):
         env = NavEnv(cluttered_world)
@@ -203,23 +203,22 @@ class TestObservation:
         s = self.make_scan(np.full(180, 5.0))
         prev = Action(0.3, -0.4)
         prior = Action(0.8, 0.2)
-        obs = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, prior, mode="residual")
+        obs = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, prior)
         assert obs.shape == (RESIDUAL_OBS_DIM,)
         assert obs[IDX_PREV_V] == 0.3
         assert obs[IDX_PREV_OMEGA] == -0.4
         assert obs[IDX_PRIOR_V] == 0.8
         assert obs[IDX_PRIOR_OMEGA] == 0.2
-        e2e = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, None, mode="end_to_end")
-        assert e2e.shape == (E2E_OBS_DIM,)
-        assert np.array_equal(e2e, obs[:E2E_OBS_DIM])
-
-    def test_env_modes_expose_right_dims(self, empty_world):
-        assert NavEnv(empty_world, mode="residual").reset(0).shape == (21,)
-        assert NavEnv(empty_world, mode="end_to_end").reset(0).shape == (19,)
+        # the end-to-end prefix is everything up to the prior's two slots
+        assert E2E_OBS_DIM == IDX_PREV_OMEGA + 1 == IDX_PRIOR_V == RESIDUAL_OBS_DIM - 2
+        other = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, Action(-0.1, 0.9))
+        assert np.array_equal(other[:E2E_OBS_DIM], obs[:E2E_OBS_DIM])
+        assert not np.array_equal(other, obs)
 
     def test_prior_slots_match_last_prior_action(self, cluttered_world):
         env = NavEnv(cluttered_world)
         obs = env.reset(seed=8)
+        assert obs.shape == (RESIDUAL_OBS_DIM,)
         assert obs[IDX_PRIOR_V] == env.last_prior_action.v
         assert obs[IDX_PRIOR_OMEGA] == env.last_prior_action.omega
 
@@ -262,3 +261,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             NavEnv(empty_world, sensor=SensorConfig(max_range=1.0),
                    prior_params=PriorParams(d_influence=1.5))
+        # every env runs the prior, so its default d_influence (1.5 m) is checked too
+        with pytest.raises(ConfigurationError, match="d_influence=1.5 exceeds laser max_range=1.0"):
+            NavEnv(empty_world, sensor=SensorConfig(max_range=1.0))

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from resnav.env import EpisodeConfig
+from resnav.env import E2E_OBS_DIM, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv
 from resnav.errors import ConfigurationError
 from resnav.evaluation import (
     EPISODE_CSV_COLUMNS,
@@ -13,7 +14,8 @@ from resnav.evaluation import (
     evaluate,
     spl_term,
 )
-from resnav.policy import PriorPolicy, RandomPolicy
+from resnav.nn import Mlp
+from resnav.policy import EndToEndPolicy, GatedResidualPolicy, PriorPolicy, RandomPolicy, ResidualPolicy
 from resnav.world import Rect, WorldSpec
 
 from conftest import make_empty_world
@@ -86,6 +88,27 @@ class TestEvaluate:
         assert result["prior"].spl > 0.5
         assert result["random"].success_rate <= 0.5
         assert result["random"].mean_actuation_s > result["prior"].mean_actuation_s
+
+    def test_one_env_per_world_for_every_controller(self, monkeypatch):
+        built = []
+
+        class CountingEnv(NavEnv):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("resnav.evaluation.NavEnv", CountingEnv)
+        worlds = [make_empty_world(), make_empty_world(side=6.0)]
+        actor = Mlp([RESIDUAL_OBS_DIM, 8, 2], "tanh", 0.2, rng=np.random.default_rng(0))
+        e2e = Mlp([E2E_OBS_DIM, 8, 2], "tanh", 0.0, rng=np.random.default_rng(1))
+        policies = {
+            "prior": PriorPolicy(), "residual": ResidualPolicy(actor, n_passes=4),
+            "gated": GatedResidualPolicy(actor, n_passes=4), "end_to_end": EndToEndPolicy(e2e),
+            "random": RandomPolicy(),
+        }
+        result = evaluate(worlds, policies, 4, episode_config=EpisodeConfig(max_steps=10))
+        assert built == worlds
+        assert all(result[label].n_episodes == 4 for label in policies)
 
     def test_episodes_are_paired_across_controllers(self):
         result = self.run_small()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -399,6 +401,23 @@ class TestCheckpoint:
         p.write_bytes(raw[:-8])
         with pytest.raises(ConfigurationError, match="blob"):
             load_checkpoint(p)
+
+
+class TestCopies:
+    @pytest.mark.parametrize("clone", [
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, Mlp.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_layer_views_follow_the_copied_params(self, clone):
+        net = Mlp([4, 8, 2], "tanh", 0.2, rng=np.random.default_rng(6))
+        x = np.linspace(-1.0, 1.0, 4)
+        want = net.forward(x)
+        dup = clone(net)
+        assert dup.params is not net.params
+        assert np.array_equal(dup.forward(x), want)
+        assert all(np.shares_memory(w, dup.params) for w in dup.weights + dup.biases)
+        dup.params[:] = 0.0  # as an Adam step, a Polyak update or a load would write
+        assert np.array_equal(dup.forward(x), np.zeros(2))
+        assert np.array_equal(net.forward(x), want)
 
 
 class TestPolyak:

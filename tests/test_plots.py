@@ -19,7 +19,7 @@ from conftest import make_cluttered_world, make_empty_world
 
 
 def prior_record():
-    env = NavEnv(make_empty_world(), episode=EpisodeConfig(max_steps=120), mode="residual")
+    env = NavEnv(make_empty_world(), episode=EpisodeConfig(max_steps=120))
     return run_episode(env, PriorPolicy(), seed=5), env
 
 
@@ -28,7 +28,7 @@ def gated_record():
     actor = Mlp([21, 16, 16, 2], "tanh", 0.3, rng=np.random.default_rng(3))
     for w in actor.weights:
         w *= 10.0
-    env = NavEnv(world, episode=EpisodeConfig(max_steps=60), mode="residual")
+    env = NavEnv(world, episode=EpisodeConfig(max_steps=60))
     return run_episode(env, GatedResidualPolicy(actor, n_passes=20), seed=2), env
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from resnav.env import E2E_OBS_DIM, RESIDUAL_OBS_DIM
 from resnav.errors import ConfigurationError, UsageError
 from resnav.nn import Mlp, mc_statistics
 from resnav.policy import (
@@ -12,7 +13,6 @@ from resnav.policy import (
     PriorPolicy,
     RandomPolicy,
     ResidualPolicy,
-    env_mode_for,
     epsilon_from_variance,
     make_policy,
 )
@@ -182,6 +182,16 @@ class TestEndToEndAndRandom:
         assert out.action.v == want[0]
         assert out.action.omega == want[1]
 
+    def test_end_to_end_reads_no_prior_slot(self):
+        actor = Mlp([E2E_OBS_DIM, 16, 2], "tanh", 0.0, rng=np.random.default_rng(5))
+        obs = np.random.default_rng(3).uniform(-1.0, 1.0, RESIDUAL_OBS_DIM)
+        out = EndToEndPolicy(actor).act(obs, None, np.random.default_rng(0))
+        other = obs.copy()
+        other[E2E_OBS_DIM:] = [0.9, -0.9]  # a different prior command
+        assert EndToEndPolicy(actor).act(other, None, np.random.default_rng(0)) == out
+        want = actor.forward(obs[:E2E_OBS_DIM])
+        assert (out.action.v, out.action.omega) == (want[0], want[1])
+
     def test_random_policy_is_centered_and_bounded(self):
         pol = RandomPolicy()
         rng = np.random.default_rng(10)
@@ -214,8 +224,3 @@ class TestMakePolicy:
         assert isinstance(make_policy("gated", actor=actor, actor_kind="residual"), GatedResidualPolicy)
         e2e = make_policy("end_to_end", actor=make_actor(dropout=0.0), actor_kind="end_to_end")
         assert isinstance(e2e, EndToEndPolicy)
-
-    def test_env_mode_mapping(self):
-        assert env_mode_for(PolicyMode.END_TO_END) == "end_to_end"
-        for m in (PolicyMode.PRIOR, PolicyMode.RESIDUAL, PolicyMode.GATED, PolicyMode.RANDOM):
-            assert env_mode_for(m) == "residual"

@@ -7,9 +7,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal
+from resnav.env import E2E_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from resnav.errors import ConfigurationError, UsageError
 from resnav.nn import Mlp
+from resnav.plots import plot_components
 from resnav.policy import EndToEndPolicy, GatedResidualPolicy, PriorPolicy, RandomPolicy
 from resnav.rollout import (
     TRAJ_COLUMNS,
@@ -27,7 +28,7 @@ from conftest import make_cluttered_world, make_empty_world
 
 
 def residual_env(world, max_steps=300):
-    return NavEnv(world, episode=EpisodeConfig(max_steps=max_steps), mode="residual")
+    return NavEnv(world, episode=EpisodeConfig(max_steps=max_steps))
 
 
 class TestRunEpisode:
@@ -55,14 +56,29 @@ class TestRunEpisode:
             total += math.hypot(b.x - a.x, b.y - a.y)
         assert record.path_length_m == pytest.approx(total, abs=1e-12)
 
-    def test_same_seed_pairs_start_and_goal_across_env_modes(self):
+    def test_same_seed_pairs_start_and_goal_across_controllers(self):
         world = make_empty_world()
         rec_res = run_episode(residual_env(world), PriorPolicy(), seed=21)
-        e2e_env = NavEnv(world, episode=EpisodeConfig(max_steps=20), mode="end_to_end")
-        actor = Mlp([19, 8, 2], "tanh", 0.0, rng=None)
-        rec_e2e = run_episode(e2e_env, EndToEndPolicy(actor), seed=21)
+        actor = Mlp([E2E_OBS_DIM, 8, 2], "tanh", 0.0, rng=None)
+        rec_e2e = run_episode(residual_env(world, max_steps=20), EndToEndPolicy(actor), seed=21)
         assert rec_res.start == rec_e2e.start
         assert rec_res.goal == rec_e2e.goal
+
+    def test_end_to_end_rows_leave_the_prior_empty(self, tmp_path):
+        # the env computes the prior on every step, but an end-to-end policy is not
+        # handed it, so its trajectory has no prior columns to plot
+        env = residual_env(make_cluttered_world(), max_steps=15)
+        actor = Mlp([E2E_OBS_DIM, 8, 2], "tanh", 0.0, rng=np.random.default_rng(1))
+        record = run_episode(env, EndToEndPolicy(actor), seed=4)
+        assert record.steps >= 1
+        for r in record.rows[1:]:
+            assert r.v_prior is None and r.omega_prior is None
+            assert r.v_exec is not None and r.omega_exec is not None
+        path = tmp_path / "e2e.csv"
+        save_trajectory(record, env, path)
+        rows, _meta, _world = load_trajectory(path)
+        with pytest.raises(UsageError, match="end-to-end runs have none"):
+            plot_components(rows)
 
     def test_gated_rows_expose_the_decision(self):
         world = make_cluttered_world()

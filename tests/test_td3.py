@@ -8,7 +8,7 @@ import pytest
 
 from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal, obs_dim
 from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
-from resnav.evaluation import evaluate
+from resnav.evaluation import evaluate, paired_episodes
 from resnav.grid import ShortestPathOracle
 from resnav.nn import Adam, Mlp, load_checkpoint, polyak_update
 from resnav.policy import EndToEndPolicy, ResidualPolicy
@@ -19,12 +19,12 @@ from resnav.td3 import (
     Td3Nets,
     TrainLogRow,
     _load_snapshot,
-    _periodic_eval,
     _save_snapshot,
     actor_update,
     bootstrap_mask,
     compose_hybrid,
     critic_update,
+    greedy_episode,
     read_training_log,
     train,
     write_training_log,
@@ -535,11 +535,31 @@ class TestPeriodicEval:
         worlds = [make_cluttered_world(), make_empty_world(side=6.0)]
         episode = EpisodeConfig(max_steps=50)  # short enough that some residual episodes time out
         actor = Mlp([obs_dim(mode), 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
-        envs = [NavEnv(w, episode=episode, mode=mode) for w in worlds]
-        got = _periodic_eval(envs, actor, mode, 8, ShortestPathOracle(0.1), seed_base=11)
+        envs = [NavEnv(w, episode=episode) for w in worlds]
+        got = paired_episodes("greedy", envs, 8, 11, ShortestPathOracle(0.1),
+                              lambda env, seed: greedy_episode(env, actor, mode, seed))
         policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
         result = evaluate(worlds, {"greedy": policy}, 8, seed_base=11, episode_config=episode,
                           oracle=ShortestPathOracle(0.1))["greedy"]
-        assert got == (result.success_rate, result.spl)
+        assert got.episodes == result.episodes
+        assert (got.success_rate, got.spl) == (result.success_rate, result.spl)
         if mode == "residual":
             assert 0.0 < result.success_rate < 1.0
+
+    def test_train_scores_each_window_through_the_shared_loop(self, monkeypatch):
+        calls = []
+
+        def spy(label, envs, n_episodes, seed_base, oracle, episode):
+            calls.append((label, len(envs), n_episodes, seed_base))
+            result = paired_episodes(label, envs, n_episodes, seed_base, oracle, episode)
+            calls.append((result.success_rate, result.spl))
+            return result
+
+        monkeypatch.setattr("resnav.td3.paired_episodes", spy)
+        worlds = [make_empty_world(side=6.0), make_cluttered_world()]
+        res = train(worlds, "end_to_end", small_config(total_episodes=4, eval_every=2, eval_episodes=3),
+                    episode_config=EpisodeConfig(max_steps=20), seed=7, oracle=ShortestPathOracle(0.25))
+        window = ("end_to_end", 2, 3, 7 * 100_000)
+        scored = [(row.eval_success, row.eval_spl) for row in res.log if row.eval_success is not None]
+        assert calls[0::2] == [window, window]
+        assert calls[1::2] == scored and len(scored) == 2
