@@ -8,6 +8,8 @@ that runs are reproducible from the file alone.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import platform
 import sys
 from pathlib import Path
 
@@ -26,6 +28,8 @@ from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
 _CONTROLLERS = tuple(m.value for m in PolicyMode)
+_M_TRIM_THRESHOLD = -1  # mallopt parameter number, from glibc's malloc.h
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +273,25 @@ def main(argv=None) -> int:
         return 3
 
 
+def keep_freed_heap() -> bool:
+    """Raise glibc's heap-trim threshold to 64 MiB for this process; True if it was set.
+
+    Each training update frees and reallocates the same arrays. At glibc's
+    default threshold the freed heap top is returned to the system after an
+    update and faulted back in by the next one. Only the console script sets
+    this: it owns its process, and library callers keep their allocator.
+    Elsewhere than glibc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+
+
 def entry() -> None:
+    keep_freed_heap()
     sys.exit(main())
 
 

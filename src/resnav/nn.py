@@ -172,15 +172,17 @@ class Mlp:
         return np.tanh(pre, out=pre) if self.output_activation == "tanh" else pre
 
     def backward(
-        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True
+        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Exact reverse-mode gradients for the traced forward pass.
 
-        upstream is dLoss/dOutput, shape (batch, out). Returns a fresh
-        gradient vector laid out like params (None when param_grads is
-        False) plus dLoss/dInput (None when input_grad is False, which
-        skips the first layer's input product). Gradients are summed over
-        the batch; put any 1/batch factor into upstream.
+        upstream is dLoss/dOutput, shape (batch, out). Returns the gradient
+        vector laid out like params, written into out when given and fresh
+        otherwise (None when param_grads is False), plus dLoss/dInput (None
+        when input_grad is False, which skips the first layer's input
+        product). Gradients are summed over the batch; put any 1/batch
+        factor into upstream.
         """
         delta = np.asarray(upstream, dtype=np.float64)
         if delta.ndim == 1:
@@ -189,13 +191,15 @@ class Mlp:
             raise UsageError(f"upstream shape {delta.shape} does not match output {trace.output.shape}")
         if self.output_activation == "tanh":
             delta = delta * (1.0 - trace.output**2)
-        grad = np.empty_like(self.params) if param_grads else None
+        if out is not None and out.shape != self.params.shape:
+            raise UsageError(f"gradient buffer shape {out.shape} does not match params {self.params.shape}")
+        grad = (np.empty_like(self.params) if out is None else out) if param_grads else None
         layers = self._layers(grad) if param_grads else None
         for i in range(self.n_layers - 1, -1, -1):
             if layers is not None:
                 dw, db = layers[i]
                 np.matmul(trace.inputs[i].T, delta, out=dw)
-                db[...] = delta.sum(axis=0)
+                np.add.reduce(delta, 0, out=db)
             if i == 0 and not input_grad:
                 return grad, None
             delta = delta @ self.weights[i].T
@@ -207,12 +211,14 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction, applied in place to a parameter list.
+    """Adam with bias correction, applied in place to one parameter vector.
 
-    Networks pass [net.params], so one step is a handful of vector ops.
+    One optimiser can serve several networks whose parameters lie next to
+    each other in one buffer: Adam is elementwise, so stepping their joint
+    slice equals stepping each network with its own optimiser.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
+    def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
         if lr <= 0.0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
@@ -221,21 +227,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        # scratch for the step's two intermediates
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise UsageError("parameter/gradient lists do not match optimizer state")
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        if params.shape != self.m.shape or grad.shape != self.m.shape:
+            raise UsageError(f"parameter {params.shape} or gradient {grad.shape} does not match "
+                             f"optimizer state {self.m.shape}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=num)
+        v *= self.beta2
+        np.multiply(grad, grad, out=num)
+        num *= 1.0 - self.beta2
+        v += num
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        num /= den
+        params -= num
 
 
 def mc_statistics(
@@ -263,12 +282,12 @@ def mc_statistics(
     return mean, np.add.reduce(d, 0) / n_passes
 
 
-def polyak_update(target: Mlp, live: Mlp, tau: float) -> None:
-    """target <- tau * live + (1 - tau) * target, parameter-wise."""
+def polyak_update(target: np.ndarray, live: np.ndarray, tau: float) -> None:
+    """target <- tau * live + (1 - tau) * target, elementwise over parameter vectors."""
     if not 0.0 <= tau <= 1.0:
         raise ConfigurationError(f"tau must be in [0, 1], got {tau}")
-    target.params *= 1.0 - tau
-    target.params += tau * live.params
+    target *= 1.0 - tau
+    target += tau * live
 
 
 def save_checkpoint(net: Mlp, mode: str, path: str | Path) -> None:

@@ -8,6 +8,7 @@ Rewards are the environment's sparse success signal; nothing is shaped.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -63,6 +64,9 @@ class Td3Config:
                                      f"buffer_capacity={self.buffer_capacity}")
         if self.warmup_steps < 0:
             raise ConfigurationError("warmup_steps must be >= 0")
+        for name in ("actor_lr", "critic_lr"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("smoothing_noise_sigma", "smoothing_noise_clip", "exploration_noise_sigma"):
             if getattr(self, name) < 0.0:
                 raise ConfigurationError(f"{name} must be >= 0")
@@ -70,6 +74,20 @@ class Td3Config:
             raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigurationError(f"bad hidden sizes {self.hidden_sizes}")
+
+
+class Batch(tuple):
+    """(obs, action, reward, next_obs, done) column views of sampled rows.
+
+    obs_action is [obs | action], a view of the same rows: the critics' input.
+    """
+
+    def __new__(cls, rows: np.ndarray) -> Batch:
+        d = (rows.shape[1] - ACTION_DIM - 2) // 2
+        a = d + ACTION_DIM
+        batch = super().__new__(cls, (rows[:, :d], rows[:, d:a], rows[:, a], rows[:, a + 1:a + 1 + d], rows[:, -1]))
+        batch.obs_action = rows[:, :a]
+        return batch
 
 
 class ReplayBuffer:
@@ -83,19 +101,12 @@ class ReplayBuffer:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2))
-        self.obs, self.action, self.reward, self.next_obs, self.done = self._split(self.rows)
+        self.obs, self.action, self.reward, self.next_obs, self.done = Batch(self.rows)
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
-
-    @staticmethod
-    def _split(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Column views (obs, action, reward, next_obs, done) of transition rows."""
-        d = (rows.shape[1] - ACTION_DIM - 2) // 2
-        a = d + ACTION_DIM
-        return rows[:, :d], rows[:, d:a], rows[:, a], rows[:, a + 1:a + 1 + d], rows[:, -1]
 
     def add(self, obs, action, reward, next_obs, done: float) -> None:
         i = self._cursor
@@ -107,10 +118,10 @@ class ReplayBuffer:
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int):
+    def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
         if self._size < 1:
             raise UsageError("cannot sample from an empty replay buffer")
-        return self._split(self.rows[rng.integers(0, self._size, batch_size)])
+        return Batch(self.rows[rng.integers(0, self._size, batch_size)])
 
 
 def bootstrap_mask(terminal: Terminal | None) -> float:
@@ -124,14 +135,25 @@ def bootstrap_mask(terminal: Terminal | None) -> float:
 
 @dataclass
 class Td3Nets:
-    """Actor and twin critics (Q1 is critics[0], Q2 critics[1]), their targets and optimisers."""
+    """Actor and twin critics (Q1 is critics[0], Q2 critics[1]), their targets and optimisers.
 
+    The learner is two float64 vectors laid out [actor | critic 1 | critic 2]:
+    live holds the trained parameters and target their Polyak averages, and
+    every network here is a view of its slice. grad is scratch laid out the
+    same way. The critics always step together, so one Adam covers their
+    joint slice; Adam and Polyak are elementwise, so the joint steps equal
+    one step per network.
+    """
+
+    live: np.ndarray
+    target: np.ndarray
+    grad: np.ndarray
     actor: Mlp
     actor_target: Mlp
     critics: tuple[Mlp, Mlp]
     critics_target: tuple[Mlp, Mlp]
     adam_actor: Adam
-    adam_critics: tuple[Adam, Adam]
+    adam_critics: Adam
 
     @classmethod
     def build(cls, observation_dim: int, config: Td3Config, rng: np.random.Generator) -> Td3Nets:
@@ -144,37 +166,74 @@ class Td3Nets:
 
     @classmethod
     def from_networks(cls, actor: Mlp, critic1: Mlp, critic2: Mlp, config: Td3Config) -> Td3Nets:
-        """Targets copied from the live networks, fresh optimiser state."""
-        critics = (critic1, critic2)
+        """Copies of the networks as live, targets equal to them, fresh optimiser state."""
+        nets = (actor, critic1, critic2)
+        live = np.concatenate([net.params for net in nets])
+        target = live.copy()
+        ends = np.cumsum([net.params.size for net in nets])[:-1]
+
+        def views(flat: np.ndarray) -> list[Mlp]:
+            out = [copy.copy(net) for net in nets]
+            for view, part in zip(out, np.split(flat, ends)):
+                view._bind(part)
+            return out
+
+        (a, c1, c2), (a_target, c1_target, c2_target) = views(live), views(target)
+        n = actor.params.size
         return cls(
-            actor=actor,
-            actor_target=actor.copy(),
-            critics=critics,
-            critics_target=tuple(c.copy() for c in critics),
-            adam_actor=Adam([actor.params], config.actor_lr),
-            adam_critics=tuple(Adam([c.params], config.critic_lr) for c in critics),
+            live=live,
+            target=target,
+            grad=np.empty_like(live),
+            actor=a,
+            actor_target=a_target,
+            critics=(c1, c2),
+            critics_target=(c1_target, c2_target),
+            adam_actor=Adam(live[:n], config.actor_lr),
+            adam_critics=Adam(live[n:], config.critic_lr),
         )
 
 
+def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """np.clip(x, lo, hi, out=x), bit for bit.
+
+    At nonzero bounds that is np.maximum then np.minimum, which skip
+    np.clip's Python wrapper; at a zero bound the two orderings of +0 and
+    -0 differ, so np.clip itself runs there.
+    """
+    if lo == 0.0 or hi == 0.0:
+        return np.clip(x, lo, hi, out=x)
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
 def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np.random.Generator) -> float:
-    """One clipped-double-Q regression step on both critics with discount gamma; returns mean loss."""
+    """One clipped-double-Q regression step on both critics with discount gamma; returns mean loss.
+
+    batch is a ReplayBuffer sample or any (obs, action, reward, next_obs, done) tuple.
+    """
     obs, action, reward, next_obs, done = batch
     b = obs.shape[0]
     noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM))
-    np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
-    next_action = np.clip(nets.actor_target.forward(next_obs) + noise, -1.0, 1.0)
+    _clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip)
+    next_action = nets.actor_target.forward(next_obs)
+    next_action += noise
+    _clip(next_action, -1.0, 1.0)
     target_in = np.concatenate([next_obs, next_action], axis=1)
     q_next = np.minimum(*(target.forward(target_in)[:, 0] for target in nets.critics_target))
     y = reward + gamma * (1.0 - done) * q_next
 
-    critic_in = np.concatenate([obs, action], axis=1)
+    critic_in = batch.obs_action if isinstance(batch, Batch) else np.concatenate([obs, action], axis=1)
+    n = nets.actor.params.size
+    half = nets.critics[0].params.size
     total = 0.0
-    for critic, adam in zip(nets.critics, nets.adam_critics):
+    for k, critic in enumerate(nets.critics):
         q, trace = critic.forward_trace(critic_in)
         err = q[:, 0] - y
-        grad, _ = critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False)
-        adam.step([critic.params], [grad])
-        total += float(np.mean(err * err))
+        out = nets.grad[n + k * half:n + (k + 1) * half]
+        critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False, out=out)
+        err *= err
+        total += float(np.add.reduce(err) / b)
+    nets.adam_critics.step(nets.live[n:], nets.grad[n:])
     return total / 2.0
 
 
@@ -190,11 +249,11 @@ def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generat
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
     _, d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b), param_grads=False)
-    grad, _ = nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False)
-    nets.adam_actor.step([nets.actor.params], [grad])
-    for target, live in ((nets.actor_target, nets.actor), *zip(nets.critics_target, nets.critics)):
-        polyak_update(target, live, config.tau)
-    return float(-np.mean(q))
+    grad = nets.grad[:nets.actor.params.size]
+    nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False, out=grad)
+    nets.adam_actor.step(nets.actor.params, grad)
+    polyak_update(nets.target, nets.live, config.tau)
+    return -float(np.add.reduce(q, None) / b)
 
 
 @dataclass
@@ -320,7 +379,7 @@ def train(
                 batch = buffer.sample(rng_batch, config.batch_size)
                 closs = critic_update(nets, batch, config, episode_config.gamma, rng_update)
                 _check_finite(out_path, "critic", closs, ep, total_steps, seed)
-                if nets.adam_critics[0].t % config.policy_delay == 0:
+                if nets.adam_critics.t % config.policy_delay == 0:
                     aloss = actor_update(nets, batch, config, rng_update)
                     _check_finite(out_path, "actor", aloss, ep, total_steps, seed)
             if result.terminal is not None:

@@ -116,6 +116,15 @@ def heldout_suite():
 _ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+# Every (mode, seed) run, longest first by the per-run times the fixture prints
+# (2-core box, one BLAS thread): with the slowest runs started first, the last
+# runs to start are short and the two workers finish close together.
+_LONGEST_FIRST = (
+    ("end_to_end", 1), ("end_to_end", 4), ("residual", 3), ("residual", 0), ("residual", 2),
+    ("residual", 1), ("end_to_end", 3), ("residual", 4), ("end_to_end", 0), ("end_to_end", 2),
+)
+
+
 def _timed_train(*args, **kwargs) -> float:
     """Wall time of one train(*args, **kwargs) in the worker that runs it, in seconds."""
     t0 = time.perf_counter()
@@ -129,6 +138,7 @@ def trained_runs(train_suite, tmp_path_factory):
     base = Path(cache) if cache else tmp_path_factory.mktemp("training")
     outs = {(mode, seed): base / f"{mode}_s{seed}"
             for mode in ("residual", "end_to_end") for seed in TRAIN_SEEDS}
+    assert sorted(_LONGEST_FIRST) == sorted(outs)
     # The runs are independent and deterministic, so fresh worker processes
     # train them side by side with the same outputs; the pool starts a worker
     # only when a run is submitted.
@@ -137,8 +147,8 @@ def trained_runs(train_suite, tmp_path_factory):
     ) as pool:
         futures = {
             (mode, seed): pool.submit(_timed_train, train_suite, mode, DESK, EPISODE, SENSOR, PRIOR,
-                                      seed=seed, out_dir=out)
-            for (mode, seed), out in outs.items() if not (out / "actor.ckpt").exists()
+                                      seed=seed, out_dir=outs[mode, seed])
+            for mode, seed in _LONGEST_FIRST if not (outs[mode, seed] / "actor.ckpt").exists()
         }
         for (mode, seed), future in futures.items():
             _line(f"[acceptance] trained {mode} seed {seed} in {future.result():.1f}s")
@@ -260,10 +270,10 @@ def test_mlp_gradients_and_adam_match_references():
         g = float(rng.normal())
         theta0 = float(rng.normal())
         lr = float(rng.uniform(1e-4, 1e-1))
-        param = [np.array([theta0])]
-        Adam(param, lr=lr).step(param, [np.array([g])])
+        param = np.array([theta0])
+        Adam(param, lr=lr).step(param, np.array([g]))
         expected = theta0 - lr * g / (abs(g) + 1e-8)
-        worst_adam = max(worst_adam, abs(float(param[0][0]) - expected))
+        worst_adam = max(worst_adam, abs(float(param[0]) - expected))
 
     elapsed = time.perf_counter() - t0
     ok = worst_rel < 1e-4 and worst_adam < 1e-10 and elapsed < 60.0

@@ -7,9 +7,11 @@ import site
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from resnav import cli
 from resnav.cli import main
 from resnav.config import load_config
 from resnav.grid import ShortestPathOracle
@@ -258,3 +260,29 @@ class TestConsoleScript:
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestAllocatorSetting:
+    def test_does_nothing_off_glibc(self, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise AssertionError("the C library was loaded off glibc")
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda *a, **k: ("", ""))
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert cli.keep_freed_heap() is False
+
+    def test_sets_the_trim_threshold_on_glibc(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert cli.keep_freed_heap() is True
+        assert calls == [(-1, 64 * 1024 * 1024)]  # M_TRIM_THRESHOLD, 64 MiB
+
+    def test_main_leaves_the_allocator_alone(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "keep_freed_heap", lambda: pytest.fail("main() set the allocator"))
+        assert main(["init-config", "--out", str(tmp_path / "exp.json")]) == 0

@@ -204,44 +204,86 @@ class TestGradients:
             assert dx is None
             assert np.array_equal(grad, net.backward(trace, upstream)[0])
 
+    def test_backward_writes_into_a_given_buffer(self):
+        rng = np.random.default_rng(83)
+        net = random_net(rng, sizes=[5, 7, 7, 2], dropout_p=0.3)
+        _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
+        upstream = rng.normal(size=(9, 2))
+        buf = np.full(net.params.size + 3, np.nan)
+        grad, _ = net.backward(trace, upstream, out=buf[1:-2])
+        assert np.shares_memory(grad, buf)
+        assert np.array_equal(buf[1:-2], net.backward(trace, upstream)[0])
+        assert np.isnan(buf[0]) and np.isnan(buf[-2:]).all()
+        with pytest.raises(UsageError):
+            net.backward(trace, upstream, out=buf)
+
+
+def reference_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a textbook expression, with fresh arrays: the bitwise reference."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
 
 class TestAdam:
     def test_first_step_closed_form(self):
         for g0 in (3.7, -0.2, 1e-4):
-            p = [np.array([1.0])]
+            p = np.array([1.0])
             opt = Adam(p, lr=0.01)
-            opt.step(p, [np.array([g0])])
+            opt.step(p, np.array([g0]))
             want = 1.0 - 0.01 * g0 / (abs(g0) + 1e-8)
-            assert abs(p[0][0] - want) < 1e-10
+            assert abs(p[0] - want) < 1e-10
 
     def test_quadratic_converges(self):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Adam(p, lr=0.1)
         for _ in range(200):
-            opt.step(p, [2.0 * p[0]])  # d/dw of w^2
-        assert abs(p[0][0]) < 0.01
+            opt.step(p, 2.0 * p)  # d/dw of w^2
+        assert abs(p[0]) < 0.01
 
     def test_momentum_carries_past_zero_gradient(self):
         # after one nonzero gradient, a zero gradient still moves the parameter
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, [np.array([1.0])])
-        after_one = p[0][0]
-        opt.step(p, [np.array([0.0])])
-        assert p[0][0] != after_one
+        opt.step(p, np.array([1.0]))
+        after_one = p[0]
+        opt.step(p, np.array([0.0]))
+        assert p[0] != after_one
 
-    def test_flat_vector_matches_per_array_steps(self):
+    def test_steps_equal_the_textbook_expression(self):
         rng = np.random.default_rng(70)
         net = Mlp([5, 8, 8, 2], "tanh", rng=rng)
-        ref = net.params.copy()
-        arrays = per_array(net, ref)
-        flat_opt = Adam([net.params], lr=1e-2)
-        per_opt = Adam(arrays, lr=1e-2)
-        for _ in range(5):
+        ref, m, v = net.params.copy(), np.zeros(net.params.size), np.zeros(net.params.size)
+        opt = Adam(net.params, lr=1e-2)
+        for t in range(1, 6):
             g = rng.normal(size=net.params.shape)
-            flat_opt.step([net.params], [g])
-            per_opt.step(arrays, per_array(net, g))
-        assert np.array_equal(net.params, ref)
+            opt.step(net.params, g)
+            reference_adam_step(ref, g, m, v, t, 1e-2)
+            assert np.array_equal(net.params, ref)
+
+    def test_one_step_over_adjacent_networks_equals_one_step_each(self):
+        rng = np.random.default_rng(71)
+        nets = [Mlp([4, 6, 1], "identity", rng=rng) for _ in range(2)]
+        joint = np.concatenate([net.params for net in nets])
+        ends = np.cumsum([net.params.size for net in nets])[:-1]
+        joint_opt = Adam(joint, lr=1e-2)
+        opts = [Adam(net.params, lr=1e-2) for net in nets]
+        for _ in range(4):
+            g = rng.normal(size=joint.shape)
+            joint_opt.step(joint, g)
+            for net, opt, part in zip(nets, opts, np.split(g, ends)):
+                opt.step(net.params, part)
+        assert np.array_equal(joint, np.concatenate([net.params for net in nets]))
+
+    def test_shape_mismatch_rejected(self):
+        p = np.zeros(3)
+        opt = Adam(p, lr=0.1)
+        with pytest.raises(UsageError):
+            opt.step(p, np.zeros(4))
+        with pytest.raises(UsageError):
+            opt.step(np.zeros(2), np.zeros(2))
 
 
 class TestMcStatistics:
@@ -426,7 +468,7 @@ class TestPolyak:
         live = Mlp([3, 5, 2], "tanh", rng=rng)
         target = Mlp([3, 5, 2], "tanh", rng=rng)
         before = target.params.copy()
-        polyak_update(target, live, tau=0.005)
+        polyak_update(target.params, live.params, tau=0.005)
         assert np.allclose(target.params, 0.005 * live.params + 0.995 * before, atol=1e-15)
 
     def test_tau_one_copies_tau_zero_freezes(self):
@@ -434,10 +476,24 @@ class TestPolyak:
         live = Mlp([2, 4, 1], "identity", rng=rng)
         target = Mlp([2, 4, 1], "identity", rng=rng)
         frozen = target.params.copy()
-        polyak_update(target, live, tau=0.0)
+        polyak_update(target.params, live.params, tau=0.0)
         assert np.array_equal(target.params, frozen)
-        polyak_update(target, live, tau=1.0)
+        polyak_update(target.params, live.params, tau=1.0)
         assert np.array_equal(target.params, live.params)
+
+    def test_one_update_over_adjacent_networks_equals_one_update_each(self):
+        rng = np.random.default_rng(52)
+        live = rng.normal(size=40)
+        target = rng.normal(size=40)
+        each = target.copy()
+        polyak_update(target, live, tau=0.1)
+        polyak_update(each[:25], live[:25], tau=0.1)
+        polyak_update(each[25:], live[25:], tau=0.1)
+        assert np.array_equal(target, each)
+
+    def test_bad_tau_rejected(self):
+        with pytest.raises(ConfigurationError):
+            polyak_update(np.zeros(2), np.zeros(2), tau=1.5)
 
 
 class TestInit:

@@ -1,7 +1,9 @@
 """Tests for the TD3 trainer: update rules against hand-computed targets,
 replay mechanics, and end-to-end determinism of tiny runs."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from resnav.td3 import (
     Td3Config,
     Td3Nets,
     TrainLogRow,
+    _clip,
     _load_snapshot,
     _save_snapshot,
     actor_update,
@@ -181,12 +184,12 @@ def fit_critic_to_function(critic: Mlp, target_fn, obs_dim: int, rng, steps=1500
     actions = rng.uniform(-1.0, 1.0, (n, 2))
     x = np.concatenate([np.zeros((n, obs_dim)), actions], axis=1)
     y = np.array([target_fn(a) for a in actions])
-    adam = Adam([critic.params], 1e-2)
+    adam = Adam(critic.params, 1e-2)
     for _ in range(steps):
         q, trace = critic.forward_trace(x)
         err = q[:, 0] - y
         grad, _ = critic.backward(trace, (2.0 / n) * err[:, None])
-        adam.step([critic.params], [grad])
+        adam.step(critic.params, grad)
 
 
 class TestActorUpdate:
@@ -226,10 +229,13 @@ class TestActorUpdate:
         }
         old = {name: target.params.copy() for name, (target, _) in pairs.items()}
         batch = (rng.normal(size=(4, 3)), None, None, None, None)
+        old_target = nets.target.copy()
         actor_update(nets, batch, config, rng)
         for name, (target, live) in pairs.items():
             want = (1.0 - config.tau) * old[name] + config.tau * live.params
             assert np.allclose(target.params, want, atol=1e-15), name
+        # the three targets are one vector, moved by one update
+        assert np.array_equal(nets.target, (1.0 - config.tau) * old_target + config.tau * nets.live)
 
     def test_dropout_makes_the_update_depend_on_its_rng(self):
         config = small_config(dropout_p=0.5)
@@ -247,8 +253,8 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
     actor, actor_target = nets.actor.copy(), nets.actor_target.copy()
     critics = [c.copy() for c in nets.critics]
     targets = [c.copy() for c in nets.critics_target]
-    adam_actor = Adam([actor.params], config.actor_lr)
-    adam_critics = [Adam([c.params], config.critic_lr) for c in critics]
+    adam_actor = Adam(actor.params, config.actor_lr)
+    adam_critics = [Adam(c.params, config.critic_lr) for c in critics]
 
     def critic_step(batch, rng):
         obs, action, reward, next_obs, done = batch
@@ -264,7 +270,7 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
             q, trace = critic.forward_trace(np.concatenate([obs, action], axis=1))
             err = q[:, 0] - y
             grad, _ = critic.backward(trace, (2.0 / b) * err[:, None])
-            adam.step([critic.params], [grad])
+            adam.step(critic.params, grad)
             total += float(np.mean(err * err))
         return total / 2.0
 
@@ -275,9 +281,9 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
         q, q_trace = critics[0].forward_trace(np.concatenate([obs, action], axis=1))
         _, d_input = critics[0].backward(q_trace, np.full((b, 1), -1.0 / b))
         grad, _ = actor.backward(actor_trace, d_input[:, obs.shape[1]:])
-        adam_actor.step([actor.params], [grad])
+        adam_actor.step(actor.params, grad)
         for target, live in ((actor_target, actor), *zip(targets, critics)):
-            polyak_update(target, live, config.tau)
+            polyak_update(target.params, live.params, config.tau)
         return float(-np.mean(q))
 
     networks = {"actor": actor, "actor_target": actor_target, "critics": critics, "targets": targets}
@@ -330,6 +336,93 @@ class TestTwinCritics:
         for k in (0, 1):
             assert np.array_equal(loaded.critics[k].params, nets.critics[k].params)
         assert np.array_equal(loaded.actor.params, nets.actor.params)
+
+
+class TestFlatLearner:
+    def test_networks_are_views_of_two_vectors(self):
+        nets = Td3Nets.build(5, small_config(), np.random.default_rng(4))
+        for flat, nets_on_it in ((nets.live, (nets.actor, *nets.critics)),
+                                 (nets.target, (nets.actor_target, *nets.critics_target))):
+            assert np.array_equal(flat, np.concatenate([net.params for net in nets_on_it]))
+            for net in nets_on_it:
+                assert net.params.base is flat
+        assert np.array_equal(nets.target, nets.live)
+        assert not np.shares_memory(nets.live, nets.target)
+
+    def test_critic_step_moves_both_critics_and_not_the_actor(self):
+        config = small_config()
+        rng = np.random.default_rng(9)
+        nets = Td3Nets.build(5, config, rng)
+        before = {"live": nets.live.copy(), "target": nets.target.copy()}
+        batch = (rng.normal(size=(8, 5)), rng.uniform(-1, 1, (8, 2)), rng.normal(size=8),
+                 rng.normal(size=(8, 5)), np.zeros(8))
+        critic_update(nets, batch, config, 0.99, rng)
+        n = nets.actor.params.size
+        assert nets.adam_critics.t == 1 and nets.adam_actor.t == 0
+        assert np.array_equal(nets.live[:n], before["live"][:n])
+        for k, critic in enumerate(nets.critics):
+            lo = n + k * critic.params.size
+            assert not np.array_equal(critic.params, before["live"][lo:lo + critic.params.size])
+        assert np.array_equal(nets.target, before["target"])
+
+    @pytest.mark.parametrize("mode", ["residual", "end_to_end"])
+    @pytest.mark.parametrize("hidden, batch", [((8, 8), 8), ((64, 64), 128), ((256, 256), 256)])
+    def test_strided_critic_input_matches_its_concatenation(self, mode, hidden, batch):
+        """Same bits through forward_trace and backward for the layer shapes in use:
+        tests, the acceptance and benchmark runs (64x64, batch 128) and the defaults."""
+        dim = obs_dim(mode)
+        rng = np.random.default_rng(12)
+        buf = ReplayBuffer(2 * batch, dim)
+        for _ in range(2 * batch):
+            buf.add(rng.normal(size=dim), rng.uniform(-1, 1, 2), 0.0, rng.normal(size=dim), 0.0)
+        sample = buf.sample(rng, batch)
+        assert not sample.obs_action.flags.c_contiguous
+        joined = np.concatenate(sample[:2], axis=1)
+        assert np.array_equal(sample.obs_action, joined)
+        critic = Mlp([dim + 2, *hidden, 1], "identity", 0.0, rng=rng)
+        upstream = rng.normal(size=(batch, 1))
+        q_view, trace_view = critic.forward_trace(sample.obs_action)
+        q_copy, trace_copy = critic.forward_trace(joined)
+        assert q_view.tobytes() == q_copy.tobytes()
+        grads = [critic.backward(t, upstream, input_grad=False)[0] for t in (trace_view, trace_copy)]
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (-1.0, 1.0), (-0.0, 0.0), (-2.0, 3.0)])
+    def test_in_place_clip_equals_np_clip(self, lo, hi):
+        special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, lo, hi, -lo, -hi,
+                   np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 5e-324, -5e-324, 0.3, -0.7]
+        # long enough to run numpy's vector loops as well as their tails
+        x = np.concatenate([np.tile(special, 9), np.random.default_rng(1).normal(size=256)]).reshape(-1, 2)
+        got = x.copy()
+        assert _clip(got, lo, hi) is got
+        assert got.tobytes() == np.clip(x, lo, hi).tobytes()
+
+    def test_loss_reduction_equals_np_mean(self):
+        rng = np.random.default_rng(2)
+        cases = [rng.normal(size=128), rng.normal(size=(128, 1)), np.array([0.0, -0.0]),
+                 np.array([-0.0, -0.0]), np.array([np.inf, 1.0]), np.array([np.inf, -np.inf]),
+                 np.array([np.nan, 1.0]), np.array([1e308, 1e308]), rng.normal(size=7) * 1e-300]
+        for x in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = float(np.add.reduce(x, None) / x.size)
+                want = float(np.mean(x))
+                negated = float(-np.mean(x))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert np.float64(-got).tobytes() == np.float64(negated).tobytes()
+
+    @pytest.mark.parametrize("clone", [
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, Mlp.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_of_a_bound_network_do_not_alias_the_learner(self, clone):
+        nets = Td3Nets.build(5, small_config(), np.random.default_rng(6))
+        for net in (nets.actor, nets.critics[1], nets.critics_target[0]):
+            dup = clone(net)
+            assert np.array_equal(dup.params, net.params)
+            assert not np.shares_memory(dup.params, nets.live)
+            assert not np.shares_memory(dup.params, nets.target)
+            live, target = nets.live.copy(), nets.target.copy()
+            dup.params[:] = 7.0
+            assert np.array_equal(nets.live, live) and np.array_equal(nets.target, target)
 
 
 class TestTrain:
@@ -469,6 +562,12 @@ class TestConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(ConfigurationError):
             Td3Config(exploration_noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("name", ["actor_lr", "critic_lr"])
+    @pytest.mark.parametrize("rate", [0.0, -1e-3])
+    def test_non_positive_learning_rate_rejected_by_name(self, name, rate):
+        with pytest.raises(ConfigurationError, match=f"{name} must be > 0"):
+            Td3Config(**{name: rate})
 
     def test_batch_larger_than_buffer_rejected(self):
         # such a buffer never holds a full batch, so train would make no update
