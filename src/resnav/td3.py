@@ -76,20 +76,6 @@ class Td3Config:
             raise ConfigurationError(f"bad hidden sizes {self.hidden_sizes}")
 
 
-class Batch(tuple):
-    """(obs, action, reward, next_obs, done) column views of sampled rows.
-
-    obs_action is [obs | action], a view of the same rows: the critics' input.
-    """
-
-    def __new__(cls, rows: np.ndarray) -> Batch:
-        d = (rows.shape[1] - ACTION_DIM - 2) // 2
-        a = d + ACTION_DIM
-        batch = super().__new__(cls, (rows[:, :d], rows[:, d:a], rows[:, a], rows[:, a + 1:a + 1 + d], rows[:, -1]))
-        batch.obs_action = rows[:, :a]
-        return batch
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO transition store with uniform sampling.
 
@@ -101,12 +87,20 @@ class ReplayBuffer:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2))
-        self.obs, self.action, self.reward, self.next_obs, self.done = Batch(self.rows)
+        self.obs_action, self.reward, self.next_obs, self.done = self._split(self.rows)
+        self.obs, self.action = self.obs_action[:, :obs_dim], self.obs_action[:, obs_dim:]
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
+
+    @staticmethod
+    def _split(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Column views (obs_action, reward, next_obs, done) of transition rows."""
+        d = (rows.shape[1] - ACTION_DIM - 2) // 2
+        a = d + ACTION_DIM
+        return rows[:, :a], rows[:, a], rows[:, a + 1:a + 1 + d], rows[:, -1]
 
     def add(self, obs, action, reward, next_obs, done: float) -> None:
         i = self._cursor
@@ -118,10 +112,14 @@ class ReplayBuffer:
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
+    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple[np.ndarray, ...]:
+        """(obs_action, reward, next_obs, done) views of batch_size rows drawn uniformly.
+
+        obs_action is [obs | action], the critics' input, with no copy.
+        """
         if self._size < 1:
             raise UsageError("cannot sample from an empty replay buffer")
-        return Batch(self.rows[rng.integers(0, self._size, batch_size)])
+        return self._split(self.rows[rng.integers(0, self._size, batch_size)])
 
 
 def bootstrap_mask(terminal: Terminal | None) -> float:
@@ -139,21 +137,25 @@ class Td3Nets:
 
     The learner is two float64 vectors laid out [actor | critic 1 | critic 2]:
     live holds the trained parameters and target their Polyak averages, and
-    every network here is a view of its slice. grad is scratch laid out the
-    same way. The critics always step together, so one Adam covers their
-    joint slice; Adam and Polyak are elementwise, so the joint steps equal
-    one step per network.
+    every network here is a view of its slice. The gradients are written into
+    slices of one scratch vector with the same layout. The critics always step
+    together, so one Adam covers their joint slice (critics_live, with
+    gradient critics_grad); Adam and Polyak are elementwise, so the joint
+    steps equal one step per network.
     """
 
     live: np.ndarray
     target: np.ndarray
-    grad: np.ndarray
     actor: Mlp
     actor_target: Mlp
     critics: tuple[Mlp, Mlp]
     critics_target: tuple[Mlp, Mlp]
     adam_actor: Adam
     adam_critics: Adam
+    actor_grad: np.ndarray
+    critic_grads: tuple[np.ndarray, np.ndarray]
+    critics_live: np.ndarray
+    critics_grad: np.ndarray
 
     @classmethod
     def build(cls, observation_dim: int, config: Td3Config, rng: np.random.Generator) -> Td3Nets:
@@ -170,6 +172,7 @@ class Td3Nets:
         nets = (actor, critic1, critic2)
         live = np.concatenate([net.params for net in nets])
         target = live.copy()
+        grad = np.empty_like(live)
         ends = np.cumsum([net.params.size for net in nets])[:-1]
 
         def views(flat: np.ndarray) -> list[Mlp]:
@@ -179,79 +182,67 @@ class Td3Nets:
             return out
 
         (a, c1, c2), (a_target, c1_target, c2_target) = views(live), views(target)
-        n = actor.params.size
+        actor_grad, *critic_grads = np.split(grad, ends)
+        n = ends[0]
         return cls(
             live=live,
             target=target,
-            grad=np.empty_like(live),
             actor=a,
             actor_target=a_target,
             critics=(c1, c2),
             critics_target=(c1_target, c2_target),
-            adam_actor=Adam(live[:n], config.actor_lr),
+            adam_actor=Adam(a.params, config.actor_lr),
             adam_critics=Adam(live[n:], config.critic_lr),
+            actor_grad=actor_grad,
+            critic_grads=tuple(critic_grads),
+            critics_live=live[n:],
+            critics_grad=grad[n:],
         )
-
-
-def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """np.clip(x, lo, hi, out=x), bit for bit.
-
-    At nonzero bounds that is np.maximum then np.minimum, which skip
-    np.clip's Python wrapper; at a zero bound the two orderings of +0 and
-    -0 differ, so np.clip itself runs there.
-    """
-    if lo == 0.0 or hi == 0.0:
-        return np.clip(x, lo, hi, out=x)
-    np.maximum(x, lo, out=x)
-    return np.minimum(x, hi, out=x)
 
 
 def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np.random.Generator) -> float:
     """One clipped-double-Q regression step on both critics with discount gamma; returns mean loss.
 
-    batch is a ReplayBuffer sample or any (obs, action, reward, next_obs, done) tuple.
+    batch is (obs_action, reward, next_obs, done), as ReplayBuffer.sample returns it.
     """
-    obs, action, reward, next_obs, done = batch
-    b = obs.shape[0]
+    obs_action, reward, next_obs, done = batch
+    b = obs_action.shape[0]
     noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM))
-    _clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip)
+    np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
     next_action = nets.actor_target.forward(next_obs)
     next_action += noise
-    _clip(next_action, -1.0, 1.0)
+    np.clip(next_action, -1.0, 1.0, out=next_action)
     target_in = np.concatenate([next_obs, next_action], axis=1)
     q_next = np.minimum(*(target.forward(target_in)[:, 0] for target in nets.critics_target))
     y = reward + gamma * (1.0 - done) * q_next
 
-    critic_in = batch.obs_action if isinstance(batch, Batch) else np.concatenate([obs, action], axis=1)
-    n = nets.actor.params.size
-    half = nets.critics[0].params.size
     total = 0.0
-    for k, critic in enumerate(nets.critics):
-        q, trace = critic.forward_trace(critic_in)
+    for critic, grad in zip(nets.critics, nets.critic_grads):
+        q, trace = critic.forward_trace(obs_action)
         err = q[:, 0] - y
-        out = nets.grad[n + k * half:n + (k + 1) * half]
-        critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False, out=out)
+        critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False, out=grad)
         err *= err
         total += float(np.add.reduce(err) / b)
-    nets.adam_critics.step(nets.live[n:], nets.grad[n:])
+    nets.adam_critics.step(nets.critics_live, nets.critics_grad)
     return total / 2.0
 
 
 def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generator) -> float:
     """Deterministic policy-gradient ascent on critic1, then Polyak on all targets.
 
-    The actor runs with dropout live (masks from rng) when its dropout_p > 0.
+    Only the observations of batch (obs_action without its action columns)
+    are read. The actor runs with dropout live (masks from rng) when its
+    dropout_p > 0.
     """
-    obs = batch[0]
+    obs = batch[0][:, :-ACTION_DIM]
     b = obs.shape[0]
     action, actor_trace = nets.actor.forward_trace(obs, rng=rng)
     q1 = nets.critics[0]
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
     _, d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b), param_grads=False)
-    grad = nets.grad[:nets.actor.params.size]
-    nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False, out=grad)
-    nets.adam_actor.step(nets.actor.params, grad)
+    nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False, out=nets.actor_grad)
+    nets.adam_actor.step(nets.actor.params, nets.actor_grad)
     polyak_update(nets.target, nets.live, config.tau)
     return -float(np.add.reduce(q, None) / b)
 

@@ -20,7 +20,6 @@ from resnav.td3 import (
     Td3Config,
     Td3Nets,
     TrainLogRow,
-    _clip,
     _load_snapshot,
     _save_snapshot,
     actor_update,
@@ -89,8 +88,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(10, obs_dim=3)
         for k in range(5):
             buf.add(np.zeros(3), np.zeros(2), 0.0, np.zeros(3), 0.0)
-        obs, act, rew, nxt, done = buf.sample(np.random.default_rng(0), 4)
-        assert obs.shape == (4, 3) and act.shape == (4, 2)
+        obs_act, rew, nxt, done = buf.sample(np.random.default_rng(0), 4)
+        assert obs_act.shape == (4, 5)
         assert rew.shape == (4,) and nxt.shape == (4, 3) and done.shape == (4,)
 
     def test_sample_only_covers_filled_slots(self):
@@ -100,7 +99,7 @@ class TestReplayBuffer:
         rng = np.random.default_rng(3)
         seen = set()
         for _ in range(50):
-            seen.update(buf.sample(rng, 8)[2].tolist())
+            seen.update(buf.sample(rng, 8)[1].tolist())
         assert seen == {7.0, 9.0}
 
     def test_sample_gathers_whole_transitions(self):
@@ -110,7 +109,7 @@ class TestReplayBuffer:
             buf.add(rng.normal(size=3), rng.normal(size=2), rng.normal(), rng.normal(size=3), rng.normal())
         got = buf.sample(np.random.default_rng(5), 7)
         idx = np.random.default_rng(5).integers(0, 10, 7)
-        for arr, field in zip(got, (buf.obs, buf.action, buf.reward, buf.next_obs, buf.done)):
+        for arr, field in zip(got, (buf.obs_action, buf.reward, buf.next_obs, buf.done)):
             assert np.array_equal(arr, field[idx])
 
     def test_empty_sample_rejected(self):
@@ -126,8 +125,7 @@ def zeroed_nets(obs_dim: int, config: Td3Config) -> Td3Nets:
 
 def one_sample_batch(obs, action, reward, next_obs, done):
     return (
-        np.asarray(obs)[None, :],
-        np.asarray(action)[None, :],
+        np.concatenate([obs, action])[None, :],
         np.array([reward]),
         np.asarray(next_obs)[None, :],
         np.array([done]),
@@ -212,7 +210,7 @@ class TestActorUpdate:
         config = small_config(actor_lr=1e-2, dropout_p=0.0, tau=0.005)
         actor = Mlp([obs_dim, 16, 16, 2], "tanh", 0.0, rng=rng)
         nets = Td3Nets.from_networks(actor, critic, critic.copy(), config)
-        batch = (np.zeros((8, obs_dim)), None, None, None, None)
+        batch = (np.zeros((8, obs_dim + 2)), None, None, None)
         for _ in range(800):
             actor_update(nets, batch, config, rng)
         out = nets.actor.forward(np.zeros(obs_dim))
@@ -228,7 +226,7 @@ class TestActorUpdate:
             "c2": (nets.critics_target[1], nets.critics[1]),
         }
         old = {name: target.params.copy() for name, (target, _) in pairs.items()}
-        batch = (rng.normal(size=(4, 3)), None, None, None, None)
+        batch = (rng.normal(size=(4, 5)), None, None, None)
         old_target = nets.target.copy()
         actor_update(nets, batch, config, rng)
         for name, (target, live) in pairs.items():
@@ -242,7 +240,7 @@ class TestActorUpdate:
         rng = np.random.default_rng(7)
         nets_a = Td3Nets.build(3, config, np.random.default_rng(1))
         nets_b = Td3Nets.build(3, config, np.random.default_rng(1))
-        batch = (rng.normal(size=(16, 3)), None, None, None, None)
+        batch = (rng.normal(size=(16, 5)), None, None, None)
         actor_update(nets_a, batch, config, np.random.default_rng(10))
         actor_update(nets_b, batch, config, np.random.default_rng(99))
         assert not np.array_equal(nets_a.actor.params, nets_b.actor.params)
@@ -257,7 +255,8 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
     adam_critics = [Adam(c.params, config.critic_lr) for c in critics]
 
     def critic_step(batch, rng):
-        obs, action, reward, next_obs, done = batch
+        obs_action, reward, next_obs, done = batch
+        obs, action = obs_action[:, :-2], obs_action[:, -2:]
         b = obs.shape[0]
         noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, 2))
         np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
@@ -275,7 +274,7 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
         return total / 2.0
 
     def actor_step(batch, rng):
-        obs = batch[0]
+        obs = batch[0][:, :-2]
         b = obs.shape[0]
         action, actor_trace = actor.forward_trace(obs, rng=rng)
         q, q_trace = critics[0].forward_trace(np.concatenate([obs, action], axis=1))
@@ -354,8 +353,8 @@ class TestFlatLearner:
         rng = np.random.default_rng(9)
         nets = Td3Nets.build(5, config, rng)
         before = {"live": nets.live.copy(), "target": nets.target.copy()}
-        batch = (rng.normal(size=(8, 5)), rng.uniform(-1, 1, (8, 2)), rng.normal(size=8),
-                 rng.normal(size=(8, 5)), np.zeros(8))
+        batch = (np.concatenate([rng.normal(size=(8, 5)), rng.uniform(-1, 1, (8, 2))], axis=1),
+                 rng.normal(size=8), rng.normal(size=(8, 5)), np.zeros(8))
         critic_update(nets, batch, config, 0.99, rng)
         n = nets.actor.params.size
         assert nets.adam_critics.t == 1 and nets.adam_actor.t == 0
@@ -364,6 +363,20 @@ class TestFlatLearner:
             lo = n + k * critic.params.size
             assert not np.array_equal(critic.params, before["live"][lo:lo + critic.params.size])
         assert np.array_equal(nets.target, before["target"])
+
+    def test_gradient_and_critic_slices_follow_the_layout(self):
+        nets = Td3Nets.build(5, small_config(), np.random.default_rng(4))
+        networks = (nets.actor, *nets.critics)
+        for k, part in enumerate((nets.actor_grad, *nets.critic_grads)):
+            part[...] = k
+        # the three gradient slices tile one vector laid out like live
+        want = np.concatenate([np.full(net.params.size, float(k)) for k, net in enumerate(networks)])
+        n = nets.actor.params.size
+        assert np.array_equal(np.concatenate([nets.actor_grad, nets.critics_grad]), want)
+        for k, part in enumerate(nets.critic_grads):
+            assert np.shares_memory(part, nets.critics_grad)
+        assert np.shares_memory(nets.critics_live, nets.live[n:])
+        assert np.array_equal(nets.critics_live, np.concatenate([c.params for c in nets.critics]))
 
     @pytest.mark.parametrize("mode", ["residual", "end_to_end"])
     @pytest.mark.parametrize("hidden, batch", [((8, 8), 8), ((64, 64), 128), ((256, 256), 256)])
@@ -375,27 +388,17 @@ class TestFlatLearner:
         buf = ReplayBuffer(2 * batch, dim)
         for _ in range(2 * batch):
             buf.add(rng.normal(size=dim), rng.uniform(-1, 1, 2), 0.0, rng.normal(size=dim), 0.0)
-        sample = buf.sample(rng, batch)
-        assert not sample.obs_action.flags.c_contiguous
-        joined = np.concatenate(sample[:2], axis=1)
-        assert np.array_equal(sample.obs_action, joined)
+        obs_action = buf.sample(rng, batch)[0]
+        assert not obs_action.flags.c_contiguous
+        joined = np.concatenate([obs_action[:, :-2], obs_action[:, -2:]], axis=1)
+        assert np.array_equal(obs_action, joined)
         critic = Mlp([dim + 2, *hidden, 1], "identity", 0.0, rng=rng)
         upstream = rng.normal(size=(batch, 1))
-        q_view, trace_view = critic.forward_trace(sample.obs_action)
+        q_view, trace_view = critic.forward_trace(obs_action)
         q_copy, trace_copy = critic.forward_trace(joined)
         assert q_view.tobytes() == q_copy.tobytes()
         grads = [critic.backward(t, upstream, input_grad=False)[0] for t in (trace_view, trace_copy)]
         assert grads[0].tobytes() == grads[1].tobytes()
-
-    @pytest.mark.parametrize("lo, hi", [(-0.5, 0.5), (-1.0, 1.0), (-0.0, 0.0), (-2.0, 3.0)])
-    def test_in_place_clip_equals_np_clip(self, lo, hi):
-        special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, lo, hi, -lo, -hi,
-                   np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 5e-324, -5e-324, 0.3, -0.7]
-        # long enough to run numpy's vector loops as well as their tails
-        x = np.concatenate([np.tile(special, 9), np.random.default_rng(1).normal(size=256)]).reshape(-1, 2)
-        got = x.copy()
-        assert _clip(got, lo, hi) is got
-        assert got.tobytes() == np.clip(x, lo, hi).tobytes()
 
     def test_loss_reduction_equals_np_mean(self):
         rng = np.random.default_rng(2)
