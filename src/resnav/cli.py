@@ -23,7 +23,7 @@ from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
 from .policy import CHECKPOINT_KIND, PolicyMode, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
-from .td3 import read_training_log, train
+from .td3 import TRAIN_MODES, read_training_log, train
 from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one run (one mode, one seed)")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=("residual", "end_to_end"), default=None,
+    p.add_argument("--mode", choices=tuple(TRAIN_MODES), default=None,
                    help="override the config's training mode")
     p.add_argument("--seed", type=int, default=None, help="override the first config seed")
     p.add_argument("--out", default=None, help="run directory (default: out_dir/<mode>/seed<N>)")

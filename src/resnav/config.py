@@ -18,11 +18,10 @@ from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError, check_finite
 from .fileio import read_json, write_atomically
 from .prior import PriorParams
-from .td3 import Td3Config
+from .td3 import TRAIN_MODES, Td3Config
 from .worldgen import WorldGenParams
 
 EXP_FORMAT = "exp/1"
-TRAIN_MODES = ("residual", "end_to_end")
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.mode not in TRAIN_MODES:
-            raise ConfigurationError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
+            raise ConfigurationError(f"mode must be one of {tuple(TRAIN_MODES)}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigurationError("seeds must be a non-empty list")
         if len(set(self.seeds)) != len(self.seeds):

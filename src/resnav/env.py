@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigurationError, UsageError, check_finite
 from .prior import Action, PriorParams, prior_command
 from .world import (
-    LaserScan,
     Pose,
     WorldSpec,
     collides,
@@ -99,8 +98,6 @@ def compute_reward(d_target: float, config: EpisodeConfig) -> float:
 
 
 def discounted_return(rewards, gamma: float) -> float:
-    if not 0.0 < gamma < 1.0:
-        raise ConfigurationError(f"gamma must be in (0, 1), got {gamma}")
     return float(sum(r * gamma**i for i, r in enumerate(rewards)))
 
 
@@ -111,7 +108,8 @@ def goal_polar(pose: Pose, goal: tuple[float, float]) -> tuple[float, float]:
 
 
 def build_observation(
-    laser: LaserScan,
+    ranges: np.ndarray,
+    max_range: float,
     goal: tuple[float, float],
     prev_action: Action,
     prior_action: Action,
@@ -120,22 +118,12 @@ def build_observation(
 
     Layout: 15 laser bins (min range per bin / max_range), angle to goal
     (rad, robot frame), distance to goal (m), previous executed (v, omega),
-    then the prior command (v, omega).
+    then the prior command (v, omega). SensorConfig admits only ray counts
+    that split into the 15 bins.
     """
-    n = len(laser.ranges)
-    if n % N_BINS != 0:
-        raise ConfigurationError(f"scan with {n} rays does not divide into {N_BINS} bins")
-    bins = laser.ranges.reshape(N_BINS, n // N_BINS).min(axis=1) / laser.max_range
+    bins = ranges.reshape(N_BINS, -1).min(axis=1) / max_range
     tail = [*goal, prev_action.v, prev_action.omega, prior_action.v, prior_action.omega]
     return np.concatenate([bins, np.array(tail, dtype=np.float64)])
-
-
-def obs_dim(mode: str) -> int:
-    if mode == "residual":
-        return RESIDUAL_OBS_DIM
-    if mode == "end_to_end":
-        return E2E_OBS_DIM
-    raise ConfigurationError(f"unknown observation mode {mode!r}")
 
 
 class NavEnv:
@@ -202,7 +190,7 @@ class NavEnv:
         self.path_length = 0.0
         self._terminal = None
         self._prev_action = Action(0.0, 0.0)
-        return self._observe()
+        return self._observe(goal_polar(self._pose, self._goal))
 
     def _sample_clear(self, region, rng: np.random.Generator) -> tuple[float, float]:
         for _ in range(_MAX_RESET_ATTEMPTS):
@@ -224,8 +212,8 @@ class NavEnv:
         self._steps += 1
         self.path_length += math.hypot(self._pose.x - prev.x, self._pose.y - prev.y)
 
-        d_target = math.hypot(self._goal[0] - self._pose.x, self._goal[1] - self._pose.y)
-        if d_target < self.episode.d_threshold:
+        polar = goal_polar(self._pose, self._goal)
+        if polar[1] < self.episode.d_threshold:
             self._terminal = Terminal.GOAL
         elif collides(self._pose, self.world):
             self._terminal = Terminal.COLLISION
@@ -233,11 +221,10 @@ class NavEnv:
             self._terminal = Terminal.TIMEOUT
 
         self._prev_action = Action(v, omega)
-        return StepResult(self._observe(), compute_reward(d_target, self.episode), self._terminal,
+        return StepResult(self._observe(polar), compute_reward(polar[1], self.episode), self._terminal,
                           self._prev_action)
 
-    def _observe(self) -> np.ndarray:
-        laser = scan(self._pose, self.sensor.n_rays, self.sensor.max_range, self.world)
-        polar = goal_polar(self._pose, self._goal)
-        self._prior_action = prior_command(laser, *polar, self.prior_params)
-        return build_observation(laser, polar, self._prev_action, self._prior_action)
+    def _observe(self, polar: tuple[float, float]) -> np.ndarray:
+        ranges = scan(self._pose, self.sensor.n_rays, self.sensor.max_range, self.world)
+        self._prior_action = prior_command(ranges, polar[0], self.prior_params)
+        return build_observation(ranges, self.sensor.max_range, polar, self._prev_action, self._prior_action)

@@ -30,7 +30,7 @@ class Trace:
     """Intermediates captured by forward_trace, consumed by backward."""
 
     inputs: list[np.ndarray]  # input to each layer (post-dropout activations)
-    relu_pos: list[np.ndarray]  # hidden pre-activation > 0 masks
+    relu_pos: list[np.ndarray]  # hidden pre-activation > 0, as float 0.0/1.0 masks
     masks: list[np.ndarray] | None  # scaled dropout masks per hidden layer
     output: np.ndarray
 
@@ -161,7 +161,8 @@ class Mlp:
             pre = h @ self.weights[i]
             pre += self.biases[i]
             if trace is not None:
-                trace.relu_pos.append(pre > 0.0)
+                # float, not bool: backward multiplies by it without a cast per element
+                trace.relu_pos.append((pre > 0.0).astype(np.float64))
             h = np.maximum(pre, 0.0, out=pre)
             if masks is not None:
                 h *= masks[i]
@@ -172,17 +173,16 @@ class Mlp:
         return np.tanh(pre, out=pre) if self.output_activation == "tanh" else pre
 
     def backward(
-        self, trace: Trace, upstream: np.ndarray, param_grads: bool = True, input_grad: bool = True,
-        out: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        self, trace: Trace, upstream: np.ndarray, out: np.ndarray | None = None, input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Exact reverse-mode gradients for the traced forward pass.
 
-        upstream is dLoss/dOutput, shape (batch, out). Returns the gradient
-        vector laid out like params, written into out when given and fresh
-        otherwise (None when param_grads is False), plus dLoss/dInput (None
-        when input_grad is False, which skips the first layer's input
-        product). Gradients are summed over the batch; put any 1/batch
-        factor into upstream.
+        upstream is dLoss/dOutput, shape (batch, out). The parameter
+        gradients, laid out like params, are written into out when it is
+        given and skipped otherwise. Returns dLoss/dInput, or None when
+        input_grad is False, which skips the first layer's input product.
+        Gradients are summed over the batch; put any 1/batch factor into
+        upstream.
         """
         delta = np.asarray(upstream, dtype=np.float64)
         if delta.ndim == 1:
@@ -193,21 +193,20 @@ class Mlp:
             delta = delta * (1.0 - trace.output**2)
         if out is not None and out.shape != self.params.shape:
             raise UsageError(f"gradient buffer shape {out.shape} does not match params {self.params.shape}")
-        grad = (np.empty_like(self.params) if out is None else out) if param_grads else None
-        layers = self._layers(grad) if param_grads else None
+        layers = None if out is None else self._layers(out)
         for i in range(self.n_layers - 1, -1, -1):
             if layers is not None:
                 dw, db = layers[i]
                 np.matmul(trace.inputs[i].T, delta, out=dw)
                 np.add.reduce(delta, 0, out=db)
             if i == 0 and not input_grad:
-                return grad, None
+                return None
             delta = delta @ self.weights[i].T
             if i > 0:
                 if trace.masks is not None:
                     delta *= trace.masks[i - 1]
                 delta *= trace.relu_pos[i - 1]
-        return grad, delta
+        return delta
 
 
 class Adam:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_finite
-from .world import LaserScan
+from .world import beam_angles
 
 
 @dataclass(frozen=True)
@@ -40,34 +40,24 @@ class PriorParams:
                 raise ConfigurationError(f"prior parameter {name} must be positive")
 
 
-def prior_command(
-    scan: LaserScan,
-    angle_to_goal: float,
-    dist_to_goal: float,
-    params: PriorParams,
-) -> Action:
-    """Compute the prior's command from a raw scan and the goal bearing.
+def prior_command(ranges: np.ndarray, angle_to_goal: float, params: PriorParams) -> Action:
+    """Compute the prior's command from raw scan ranges and the goal bearing.
 
-    Repulsion per beam i with range d < d_influence has magnitude
+    ranges[i] is the return of beam beam_angles(len(ranges))[i]. Repulsion
+    per beam with range d < d_influence has magnitude
     k_rep * (1/d - 1/d_influence) / d**2 and points back along the beam.
     The command is v = clip(v_max * max(0, cos(b)), 0, 1) and
-    omega = clip(k_omega * b, -1, 1) where b is the resultant bearing.
-    dist_to_goal is accepted for interface completeness; the attraction
-    term is deliberately distance-independent.
+    omega = clip(k_omega * b, -1, 1) where b is the resultant bearing. The
+    attraction term is deliberately distance-independent.
     """
-    if params.d_influence > scan.max_range:
-        raise ConfigurationError(
-            f"d_influence={params.d_influence} exceeds scan max_range={scan.max_range}"
-        )
     fx = params.k_att * math.cos(angle_to_goal)
     fy = params.k_att * math.sin(angle_to_goal)
 
-    r = scan.ranges
-    near = r < params.d_influence
+    near = ranges < params.d_influence
     if near.any():
-        rn = r[near]
+        rn = ranges[near]
         mag = params.k_rep * (1.0 / rn - 1.0 / params.d_influence) / (rn * rn)
-        ang = scan.angles[near]
+        ang = beam_angles(len(ranges))[near]
         fx -= float(np.dot(mag, np.cos(ang)))
         fy -= float(np.dot(mag, np.sin(ang)))
 

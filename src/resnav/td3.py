@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return, obs_dim
+from .env import (E2E_OBS_DIM, EVAL_SEED_OFFSET, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig,
+                  Terminal, discounted_return)
 from .errors import ConfigurationError, TrainingDiverged, UsageError, check_finite
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
@@ -28,6 +29,8 @@ from .rollout import drive, read_csv, write_csv
 from .world import WorldSpec
 
 ACTION_DIM = 2
+#: training mode -> width of the observation prefix its actor reads
+TRAIN_MODES = {"residual": RESIDUAL_OBS_DIM, "end_to_end": E2E_OBS_DIM}
 TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
 _LOG_TYPES = {"episode": int, "steps": int, "success": int}
 
@@ -157,10 +160,15 @@ class Td3Nets:
     critics_live: np.ndarray
     critics_grad: np.ndarray
 
+    @staticmethod
+    def layer_sizes(observation_dim: int, config: Td3Config) -> tuple[list[int], list[int]]:
+        """Layer sizes of the actor and of each critic."""
+        return ([observation_dim, *config.hidden_sizes, ACTION_DIM],
+                [observation_dim + ACTION_DIM, *config.hidden_sizes, 1])
+
     @classmethod
     def build(cls, observation_dim: int, config: Td3Config, rng: np.random.Generator) -> Td3Nets:
-        actor_sizes = [observation_dim, *config.hidden_sizes, ACTION_DIM]
-        critic_sizes = [observation_dim + ACTION_DIM, *config.hidden_sizes, 1]
+        actor_sizes, critic_sizes = cls.layer_sizes(observation_dim, config)
         actor = Mlp(actor_sizes, "tanh", config.dropout_p, rng=rng)
         critic1 = Mlp(critic_sizes, "identity", 0.0, rng=rng)
         critic2 = Mlp(critic_sizes, "identity", 0.0, rng=rng)
@@ -240,7 +248,7 @@ def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generat
     q1 = nets.critics[0]
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
-    _, d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b), param_grads=False)
+    d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b))
     nets.actor.backward(actor_trace, d_input[:, obs.shape[1]:], input_grad=False, out=nets.actor_grad)
     nets.adam_actor.step(nets.actor.params, nets.actor_grad)
     polyak_update(nets.target, nets.live, config.tau)
@@ -317,7 +325,7 @@ def train(
     keeps the snapshot's rows ahead of the new ones; TrainResult.log holds
     only the episodes this call ran.
     """
-    if mode not in ("residual", "end_to_end"):
+    if mode not in TRAIN_MODES:
         raise ConfigurationError(f"unknown training mode {mode!r}")
     if not worlds:
         raise ConfigurationError("training needs at least one world")
@@ -328,7 +336,7 @@ def train(
         np.random.default_rng(s) for s in ss.spawn(5)
     )
 
-    dim = obs_dim(mode)
+    dim = TRAIN_MODES[mode]
     start_episode = 1
     history: list[TrainLogRow] = []
     if resume_from is not None:
@@ -423,10 +431,15 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
     actor, _ = load_checkpoint(snap / "actor.ckpt")
     critic1, _ = load_checkpoint(snap / "critic1.ckpt")
     critic2, _ = load_checkpoint(snap / "critic2.ckpt")
-    if actor.layer_sizes[0] != dim:
-        raise ConfigurationError(
-            f"snapshot actor expects {actor.layer_sizes[0]}-dim observations, run uses {dim}"
-        )
+    actor_sizes, critic_sizes = Td3Nets.layer_sizes(dim, config)
+    for name, net, sizes in (("actor", actor, actor_sizes), ("critic1", critic1, critic_sizes),
+                             ("critic2", critic2, critic_sizes)):
+        if net.layer_sizes != sizes:
+            raise ConfigurationError(f"snapshot {name} has layer sizes {net.layer_sizes}, but {dim}-dim "
+                                     f"observations and hidden_sizes={config.hidden_sizes} need {sizes}")
+    if actor.dropout_p != config.dropout_p:
+        raise ConfigurationError(f"snapshot actor has dropout_p={actor.dropout_p}, "
+                                 f"the config has dropout_p={config.dropout_p}")
     log_file = snap / "train_log.csv"
     history = read_training_log(log_file) if log_file.exists() else []
     return Td3Nets.from_networks(actor, critic1, critic2, config), episode + 1, history

@@ -155,23 +155,10 @@ def sample_in_shape(shape: Shape, rng: np.random.Generator) -> tuple[float, floa
     return (shape.cx + rho * math.cos(phi), shape.cy + rho * math.sin(phi))
 
 
-@dataclass(frozen=True)
-class LaserScan:
-    """One planar scan: ranges[i] belongs to angles()[i], robot frame."""
-
-    ranges: np.ndarray  # m, strictly positive, clamped to max_range
-    fov: float  # rad, total field of view
-    max_range: float  # m
-
-    @property
-    def angles(self) -> np.ndarray:
-        return beam_angles(len(self.ranges), self.fov)
-
-
 @cache
-def beam_angles(n_rays: int, fov: float) -> np.ndarray:
-    """Relative beam angles, evenly spaced over [-fov/2, fov/2]; one shared read-only array."""
-    a = np.linspace(-0.5 * fov, 0.5 * fov, n_rays)
+def beam_angles(n_rays: int) -> np.ndarray:
+    """Relative beam angles, evenly spaced over [-pi/2, pi/2]; one shared read-only array."""
+    a = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_rays)
     a.flags.writeable = False
     return a
 
@@ -314,25 +301,20 @@ def raycast_angles(
     return np.minimum(best, max_range, out=best)
 
 
-def scan(pose: Pose, n_rays: int, max_range: float, world: WorldSpec) -> LaserScan:
-    """Simulate a 180-degree planar scan centred on the robot heading.
+def scan(pose: Pose, n_rays: int, max_range: float, world: WorldSpec) -> np.ndarray:
+    """Simulate a 180-degree planar scan centred on the robot heading; read-only ranges.
 
-    Beam i points at pose.theta - pi/2 + i * pi / (n_rays - 1); beams are
-    evenly spaced and include both endpoints of the field of view.
+    ranges[i] belongs to beam_angles(n_rays)[i], robot frame: beam i points at
+    pose.theta - pi/2 + i * pi / (n_rays - 1), both ends of the field of view
+    included. SensorConfig admits n_rays and max_range.
     """
-    if n_rays < 15 or n_rays % 15 != 0:
-        raise ConfigurationError(f"n_rays must be >= 15 and divisible into 15 bins, got {n_rays}")
-    if max_range <= 0.0:
-        raise ConfigurationError(f"max_range must be positive, got {max_range}")
-    ranges = raycast_angles(pose.x, pose.y, pose.theta + beam_angles(n_rays, math.pi), max_range, world)
+    ranges = raycast_angles(pose.x, pose.y, pose.theta + beam_angles(n_rays), max_range, world)
     ranges.flags.writeable = False
-    return LaserScan(ranges=ranges, fov=math.pi, max_range=max_range)
+    return ranges
 
 
 def step_kinematics(pose: Pose, v: float, omega: float, dt: float) -> Pose:
-    """Forward-Euler unicycle step: translate along the old heading, then turn."""
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+    """Forward-Euler unicycle step: translate along the old heading, then turn (EpisodeConfig admits dt)."""
     return Pose(
         pose.x + v * math.cos(pose.theta) * dt,
         pose.y + v * math.sin(pose.theta) * dt,

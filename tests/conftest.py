@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from resnav.nn import Mlp, Trace
 from resnav.world import Circle, Rect, WorldSpec
+
+
+def param_grad(net: Mlp, trace: Trace, upstream: np.ndarray) -> np.ndarray:
+    """Parameter gradient vector of net.backward for one trace, in a fresh buffer."""
+    grad = np.empty_like(net.params)
+    net.backward(trace, upstream, out=grad)
+    return grad
 
 
 def make_empty_world(side: float = 10.0, robot_radius: float = 0.15) -> WorldSpec:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,8 @@ from resnav.env import (
     goal_polar,
 )
 from resnav.errors import ConfigurationError, UsageError
-from resnav.prior import Action
-from resnav.world import LaserScan, Pose, Rect, WorldSpec
+from resnav.prior import Action, PriorParams
+from resnav.world import Pose, Rect, WorldSpec
 from tests.conftest import make_empty_world
 
 
@@ -175,35 +176,31 @@ class TestResetAndStep:
 
 
 class TestObservation:
-    def make_scan(self, ranges, max_range=5.0):
-        return LaserScan(ranges=np.asarray(ranges, dtype=np.float64), fov=math.pi, max_range=max_range)
-
     def test_all_clear_bins_are_one(self):
-        s = self.make_scan(np.full(180, 5.0))
-        obs = build_observation(s, goal_polar(Pose(0, 0, 0), (2.0, 0.0)), Action(0, 0), Action(0.5, 0.1))
+        s = np.full(180, 5.0)
+        obs = build_observation(s, 5.0, goal_polar(Pose(0, 0, 0), (2.0, 0.0)), Action(0, 0), Action(0.5, 0.1))
         assert np.all(obs[:N_BINS] == 1.0)
 
     def test_goal_dead_ahead(self):
-        s = self.make_scan(np.full(180, 5.0))
-        obs = build_observation(s, goal_polar(Pose(1.0, 1.0, 0.0), (3.0, 1.0)), Action(0, 0), Action(0, 0))
+        s = np.full(180, 5.0)
+        obs = build_observation(s, 5.0, goal_polar(Pose(1.0, 1.0, 0.0), (3.0, 1.0)), Action(0, 0), Action(0, 0))
         assert obs[IDX_ANGLE_TO_GOAL] == 0.0
         assert obs[IDX_DIST_TO_GOAL] == pytest.approx(2.0)
 
     def test_bin_uses_min_over_members(self):
         ranges = np.full(180, 5.0)
         ranges[3 * 12 + 7] = 2.5  # one member of bin 3
-        s = self.make_scan(ranges)
-        obs = build_observation(s, goal_polar(Pose(0, 0, 0), (1.0, 0.0)), Action(0, 0), Action(0, 0))
+        obs = build_observation(ranges, 5.0, goal_polar(Pose(0, 0, 0), (1.0, 0.0)), Action(0, 0), Action(0, 0))
         # oracle: brute-force min per contiguous 12-ray block
         want = np.array([ranges[k * 12:(k + 1) * 12].min() / 5.0 for k in range(N_BINS)])
         assert np.array_equal(obs[:N_BINS], want)
         assert obs[3] == 0.5
 
     def test_layout_and_dims(self):
-        s = self.make_scan(np.full(180, 5.0))
+        s = np.full(180, 5.0)
         prev = Action(0.3, -0.4)
         prior = Action(0.8, 0.2)
-        obs = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, prior)
+        obs = build_observation(s, 5.0, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, prior)
         assert obs.shape == (RESIDUAL_OBS_DIM,)
         assert obs[IDX_PREV_V] == 0.3
         assert obs[IDX_PREV_OMEGA] == -0.4
@@ -211,7 +208,7 @@ class TestObservation:
         assert obs[IDX_PRIOR_OMEGA] == 0.2
         # the end-to-end prefix is everything up to the prior's two slots
         assert E2E_OBS_DIM == IDX_PREV_OMEGA + 1 == IDX_PRIOR_V == RESIDUAL_OBS_DIM - 2
-        other = build_observation(s, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, Action(-0.1, 0.9))
+        other = build_observation(s, 5.0, goal_polar(Pose(0, 0, 0.5), (2.0, 2.0)), prev, Action(-0.1, 0.9))
         assert np.array_equal(other[:E2E_OBS_DIM], obs[:E2E_OBS_DIM])
         assert not np.array_equal(other, obs)
 
@@ -235,12 +232,42 @@ class TestRewardAndReturn:
         assert discounted_return([1.0], 0.5) == 1.0
         assert discounted_return([0.0] * 10, 0.9) == 0.0
 
-    def test_bad_gamma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            discounted_return([1.0], 1.0)
+
+# SensorConfig, EpisodeConfig and PriorParams (with NavEnv's d_influence <= max_range) are
+# the only gates in front of scan, step_kinematics, prior_command and discounted_return.
+# Values at and around each field's edges; the defaults are max_range 5 m, d_influence 1.5 m.
+_CONFIG_EDGES = [
+    *[(SensorConfig, "n_rays", v) for v in (0, -15, math.inf, math.nan, 14, 15, 16, 30)],
+    *[(cls, f.name, v) for cls in (SensorConfig, EpisodeConfig, PriorParams)
+      for f in dataclasses.fields(cls) if f.name != "n_rays"
+      for v in (0, -1, math.inf, math.nan, *((1e-9,) if isinstance(f.default, float) else (1,)))],
+    (SensorConfig, "max_range", 1.5), (SensorConfig, "max_range", math.nextafter(1.5, 0.0)),
+    (EpisodeConfig, "gamma", 1.0), (EpisodeConfig, "gamma", math.nextafter(1.0, 0.0)),
+    (PriorParams, "d_influence", 5.0), (PriorParams, "d_influence", math.nextafter(5.0, math.inf)),
+]
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("cls, name, value", _CONFIG_EDGES,
+                             ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in _CONFIG_EDGES])
+    def test_edge_value_is_rejected_by_name_or_runs_finite(self, cluttered_world, cls, name, value):
+        configs = {SensorConfig: SensorConfig(), EpisodeConfig: EpisodeConfig(), PriorParams: PriorParams()}
+        try:
+            configs[cls] = cls(**{name: value})
+            env = NavEnv(cluttered_world, configs[EpisodeConfig], configs[SensorConfig], configs[PriorParams])
+        except ConfigurationError as exc:
+            assert name in str(exc)
+            return
+        observations, rewards = [env.reset(seed=3)], []
+        for _ in range(3):
+            result = env.step(env.last_prior_action)
+            observations.append(result.observation)
+            rewards.append(result.reward)
+            if result.terminal is not None:
+                break
+        assert np.isfinite(observations).all()
+        assert math.isfinite(discounted_return(rewards, env.episode.gamma))
+
     def test_bad_sensor(self):
         with pytest.raises(ConfigurationError):
             SensorConfig(n_rays=10)
@@ -256,8 +283,6 @@ class TestConfigValidation:
             EpisodeConfig(max_steps=0)
 
     def test_d_influence_vs_max_range(self, empty_world):
-        from resnav.prior import PriorParams
-
         with pytest.raises(ConfigurationError):
             NavEnv(empty_world, sensor=SensorConfig(max_range=1.0),
                    prior_params=PriorParams(d_influence=1.5))

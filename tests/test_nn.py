@@ -11,6 +11,7 @@ import pytest
 
 from resnav.errors import ConfigurationError, UsageError
 from resnav.nn import Adam, Mlp, load_checkpoint, mc_statistics, polyak_update, save_checkpoint
+from tests.conftest import param_grad
 
 
 def random_net(rng, sizes=None, output_activation=None, dropout_p=0.0) -> Mlp:
@@ -66,8 +67,7 @@ def analytic_grads(net: Mlp, x, target, masks):
         pre = h @ net.weights[-1] + net.biases[-1]
         trace.output = np.tanh(pre) if net.output_activation == "tanh" else pre
     upstream = trace.output - np.atleast_2d(target)
-    grad, _ = net.backward(trace, upstream)
-    return per_array(net, grad)
+    return per_array(net, param_grad(net, trace, upstream))
 
 
 class TestForward:
@@ -163,8 +163,7 @@ class TestGradients:
 
         def grads_for(batch_x, batch_t):
             y, trace = net.forward_trace(batch_x)
-            g, _ = net.backward(trace, y - batch_t)
-            return per_array(net, g)
+            return per_array(net, param_grad(net, trace, y - batch_t))
 
         single = grads_for(x[None, :], t[None, :])
         double = grads_for(np.stack([x, x]), np.stack([t, t]))
@@ -177,7 +176,7 @@ class TestGradients:
         x = rng.normal(0, 1, 5)
         y, trace = net.forward_trace(x[None, :])
         upstream = np.ones_like(y)
-        _, dx = net.backward(trace, upstream)
+        dx = net.backward(trace, upstream)
         eps = 1e-6
         for i in range(5):
             xp = x.copy(); xp[i] += eps
@@ -190,9 +189,8 @@ class TestGradients:
         net = random_net(rng, sizes=[5, 7, 7, 1], dropout_p=0.3)
         _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
         upstream = rng.normal(size=(9, 1))
-        grad, dx = net.backward(trace, upstream, param_grads=False)
-        assert grad is None
-        assert np.array_equal(dx, net.backward(trace, upstream)[1])
+        dx = net.backward(trace, upstream)  # no out: no parameter gradients
+        assert np.array_equal(dx, net.backward(trace, upstream, out=np.empty_like(net.params)))
 
     def test_parameter_only_backward_matches_full(self):
         rng = np.random.default_rng(82)
@@ -200,9 +198,20 @@ class TestGradients:
             net = random_net(rng, sizes=sizes, dropout_p=0.3)
             _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
             upstream = rng.normal(size=(9, sizes[-1]))
-            grad, dx = net.backward(trace, upstream, input_grad=False)
-            assert dx is None
-            assert np.array_equal(grad, net.backward(trace, upstream)[0])
+            grad = np.empty_like(net.params)
+            assert net.backward(trace, upstream, out=grad, input_grad=False) is None
+            assert np.array_equal(grad, param_grad(net, trace, upstream))
+
+    def test_traced_relu_masks_are_float_and_match_bool_masks(self):
+        rng = np.random.default_rng(84)
+        net = random_net(rng, sizes=[5, 7, 7, 2], dropout_p=0.3)
+        _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
+        upstream = rng.normal(size=(9, 2))
+        assert all(m.dtype == np.float64 for m in trace.relu_pos)
+        want = param_grad(net, trace, upstream), net.backward(trace, upstream)
+        trace.relu_pos = [m > 0.0 for m in trace.relu_pos]
+        assert param_grad(net, trace, upstream).tobytes() == want[0].tobytes()
+        assert net.backward(trace, upstream).tobytes() == want[1].tobytes()
 
     def test_backward_writes_into_a_given_buffer(self):
         rng = np.random.default_rng(83)
@@ -210,9 +219,8 @@ class TestGradients:
         _, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
         upstream = rng.normal(size=(9, 2))
         buf = np.full(net.params.size + 3, np.nan)
-        grad, _ = net.backward(trace, upstream, out=buf[1:-2])
-        assert np.shares_memory(grad, buf)
-        assert np.array_equal(buf[1:-2], net.backward(trace, upstream)[0])
+        net.backward(trace, upstream, out=buf[1:-2])
+        assert np.array_equal(buf[1:-2], param_grad(net, trace, upstream))
         assert np.isnan(buf[0]) and np.isnan(buf[-2:]).all()
         with pytest.raises(UsageError):
             net.backward(trace, upstream, out=buf)

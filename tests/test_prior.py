@@ -11,27 +11,23 @@ from resnav.errors import ConfigurationError
 from resnav.evaluation import evaluate
 from resnav.policy import PriorPolicy
 from resnav.prior import Action, PriorParams, prior_command
-from resnav.world import Circle, LaserScan, Pose, Rect, WorldSpec, scan
+from resnav.world import Circle, Pose, Rect, WorldSpec, scan
 from tests.conftest import make_empty_world
 
 
-def synthetic_scan(ranges, max_range: float = 5.0) -> LaserScan:
-    arr = np.asarray(ranges, dtype=np.float64)
-    return LaserScan(ranges=arr, fov=math.pi, max_range=max_range)
-
-
-def clear_scan(n: int = 180, max_range: float = 5.0) -> LaserScan:
-    return synthetic_scan(np.full(n, max_range), max_range)
+def clear_scan() -> np.ndarray:
+    """180 ranges, every beam at the 5 m max range."""
+    return np.full(180, 5.0)
 
 
 class TestPriorCommand:
     def test_goal_straight_ahead_empty(self):
-        a = prior_command(clear_scan(), 0.0, 3.0, PriorParams())
+        a = prior_command(clear_scan(), 0.0, PriorParams())
         assert a.omega == 0.0
         assert a.v == 1.0
 
     def test_goal_behind_empty(self):
-        a = prior_command(clear_scan(), math.pi, 3.0, PriorParams())
+        a = prior_command(clear_scan(), math.pi, PriorParams())
         assert a.v == 0.0
         assert abs(a.omega) == 1.0
 
@@ -40,7 +36,7 @@ class TestPriorCommand:
         ranges = np.full(180, 5.0)
         ranges[30] = 0.8
         ranges[149] = 0.8  # angles[149] == -angles[30]
-        a = prior_command(synthetic_scan(ranges), 0.0, 4.0, PriorParams())
+        a = prior_command(ranges, 0.0, PriorParams())
         assert a.omega == pytest.approx(0.0, abs=1e-12)
         assert a.v == pytest.approx(1.0)
 
@@ -48,8 +44,8 @@ class TestPriorCommand:
         ranges = np.full(180, 5.0)
         ranges[90] = 0.3  # straight ahead
         params = PriorParams()
-        a = prior_command(synthetic_scan(ranges), 0.0, 4.0, params)
-        clear = prior_command(clear_scan(), 0.0, 4.0, params)
+        a = prior_command(ranges, 0.0, params)
+        clear = prior_command(clear_scan(), 0.0, params)
         assert a.v < clear.v
 
     def test_output_ranges_randomized(self):
@@ -57,15 +53,14 @@ class TestPriorCommand:
         params = PriorParams()
         for _ in range(300):
             ranges = rng.uniform(0.05, 5.0, 180)
-            a = prior_command(synthetic_scan(ranges), rng.uniform(-math.pi, math.pi), rng.uniform(0.1, 8.0), params)
+            a = prior_command(ranges, rng.uniform(-math.pi, math.pi), params)
             assert 0.0 <= a.v <= 1.0
             assert -1.0 <= a.omega <= 1.0
 
     def test_pure_function(self):
         ranges = np.linspace(0.4, 5.0, 180)
-        s = synthetic_scan(ranges)
-        a = prior_command(s, 0.7, 2.0, PriorParams())
-        b = prior_command(s, 0.7, 2.0, PriorParams())
+        a = prior_command(ranges, 0.7, PriorParams())
+        b = prior_command(ranges, 0.7, PriorParams())
         assert a == b
 
     def test_far_returns_have_no_influence(self):
@@ -74,8 +69,8 @@ class TestPriorCommand:
         near[40] = 0.9
         with_far = near.copy()
         with_far[120] = 2.0  # beyond d_influence: must not matter
-        a = prior_command(synthetic_scan(near), 0.3, 2.0, params)
-        b = prior_command(synthetic_scan(with_far), 0.3, 2.0, params)
+        a = prior_command(near, 0.3, params)
+        b = prior_command(with_far, 0.3, params)
         assert a == b
 
     def test_rotation_equivariance_circle_world(self):
@@ -101,17 +96,12 @@ class TestPriorCommand:
             p = Pose(px, py, pose.theta + phi)
             gx, gy = rot(*goal)
             angle = math.atan2(gy - py, gx - px) - p.theta
-            dist = math.hypot(gx - px, gy - py)
-            return prior_command(scan(p, 180, 5.0, w), angle, dist, params)
+            return prior_command(scan(p, 180, 5.0, w), angle, params)
 
         a = rotated(0.0)
         b = rotated(0.9)
         assert a.v == pytest.approx(b.v, abs=1e-9)
         assert a.omega == pytest.approx(b.omega, abs=1e-9)
-
-    def test_d_influence_beyond_scan_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            prior_command(clear_scan(max_range=1.0), 0.0, 2.0, PriorParams(d_influence=1.5))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal, obs_dim
+from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal
 from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
 from resnav.evaluation import evaluate, paired_episodes
 from resnav.grid import ShortestPathOracle
@@ -16,6 +16,7 @@ from resnav.nn import Adam, Mlp, load_checkpoint, polyak_update
 from resnav.policy import EndToEndPolicy, ResidualPolicy
 from resnav.prior import Action
 from resnav.td3 import (
+    TRAIN_MODES,
     ReplayBuffer,
     Td3Config,
     Td3Nets,
@@ -32,7 +33,7 @@ from resnav.td3 import (
     write_training_log,
 )
 
-from conftest import make_cluttered_world, make_empty_world
+from conftest import make_cluttered_world, make_empty_world, param_grad
 
 
 def small_config(**overrides) -> Td3Config:
@@ -186,8 +187,7 @@ def fit_critic_to_function(critic: Mlp, target_fn, obs_dim: int, rng, steps=1500
     for _ in range(steps):
         q, trace = critic.forward_trace(x)
         err = q[:, 0] - y
-        grad, _ = critic.backward(trace, (2.0 / n) * err[:, None])
-        adam.step(critic.params, grad)
+        adam.step(critic.params, param_grad(critic, trace, (2.0 / n) * err[:, None]))
 
 
 class TestActorUpdate:
@@ -268,8 +268,7 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
         for critic, adam in zip(critics, adam_critics):
             q, trace = critic.forward_trace(np.concatenate([obs, action], axis=1))
             err = q[:, 0] - y
-            grad, _ = critic.backward(trace, (2.0 / b) * err[:, None])
-            adam.step(critic.params, grad)
+            adam.step(critic.params, param_grad(critic, trace, (2.0 / b) * err[:, None]))
             total += float(np.mean(err * err))
         return total / 2.0
 
@@ -278,9 +277,8 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
         b = obs.shape[0]
         action, actor_trace = actor.forward_trace(obs, rng=rng)
         q, q_trace = critics[0].forward_trace(np.concatenate([obs, action], axis=1))
-        _, d_input = critics[0].backward(q_trace, np.full((b, 1), -1.0 / b))
-        grad, _ = actor.backward(actor_trace, d_input[:, obs.shape[1]:])
-        adam_actor.step(actor.params, grad)
+        d_input = critics[0].backward(q_trace, np.full((b, 1), -1.0 / b))
+        adam_actor.step(actor.params, param_grad(actor, actor_trace, d_input[:, obs.shape[1]:]))
         for target, live in ((actor_target, actor), *zip(targets, critics)):
             polyak_update(target.params, live.params, config.tau)
         return float(-np.mean(q))
@@ -326,12 +324,12 @@ class TestTwinCritics:
 
     def test_snapshot_round_trips_both_critics(self, tmp_path):
         config = small_config()
-        nets = Td3Nets.build(obs_dim("residual"), config, np.random.default_rng(3))
+        nets = Td3Nets.build(TRAIN_MODES["residual"], config, np.random.default_rng(3))
         _save_snapshot(tmp_path, nets, "residual", [TrainLogRow(1, 5, 0.5, 0, 0.0)])
         for k in (0, 1):
             critic, _ = load_checkpoint(tmp_path / "snapshot" / f"critic{k + 1}.ckpt")
             assert np.array_equal(critic.params, nets.critics[k].params)
-        loaded, _, _ = _load_snapshot(tmp_path, obs_dim("residual"), config)
+        loaded, _, _ = _load_snapshot(tmp_path, TRAIN_MODES["residual"], config)
         for k in (0, 1):
             assert np.array_equal(loaded.critics[k].params, nets.critics[k].params)
         assert np.array_equal(loaded.actor.params, nets.actor.params)
@@ -383,7 +381,7 @@ class TestFlatLearner:
     def test_strided_critic_input_matches_its_concatenation(self, mode, hidden, batch):
         """Same bits through forward_trace and backward for the layer shapes in use:
         tests, the acceptance and benchmark runs (64x64, batch 128) and the defaults."""
-        dim = obs_dim(mode)
+        dim = TRAIN_MODES[mode]
         rng = np.random.default_rng(12)
         buf = ReplayBuffer(2 * batch, dim)
         for _ in range(2 * batch):
@@ -397,7 +395,7 @@ class TestFlatLearner:
         q_view, trace_view = critic.forward_trace(obs_action)
         q_copy, trace_copy = critic.forward_trace(joined)
         assert q_view.tobytes() == q_copy.tobytes()
-        grads = [critic.backward(t, upstream, input_grad=False)[0] for t in (trace_view, trace_copy)]
+        grads = [param_grad(critic, t, upstream) for t in (trace_view, trace_copy)]
         assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_loss_reduction_equals_np_mean(self):
@@ -477,6 +475,20 @@ class TestTrain:
               episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
         with pytest.raises(ConfigurationError, match="dim"):
             train([world], "end_to_end", small_config(total_episodes=3), seed=1,
+                  episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
+
+    @pytest.mark.parametrize("changed, field", [
+        ({"hidden_sizes": (32, 32, 32), "dropout_p": 0.0}, "hidden_sizes"),
+        ({"hidden_sizes": (8, 9)}, "hidden_sizes"),
+        ({"dropout_p": 0.0}, "dropout_p"),
+    ], ids=["wider_deeper_no_dropout", "one_width", "dropout_only"])
+    def test_resume_rejects_a_changed_architecture(self, tmp_path, changed, field):
+        world = make_empty_world(side=6.0)
+        out = tmp_path / "run"
+        train([world], "residual", small_config(total_episodes=2, hidden_sizes=(8, 8), dropout_p=0.2), seed=1,
+              episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
+        with pytest.raises(ConfigurationError, match=field):
+            train([world], "residual", small_config(total_episodes=3, **changed), seed=1,
                   episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
 
     def test_resume_rejects_a_state_file_without_episode(self, tmp_path):
@@ -636,7 +648,7 @@ class TestPeriodicEval:
     def test_matches_evaluate_on_the_same_episodes(self, mode):
         worlds = [make_cluttered_world(), make_empty_world(side=6.0)]
         episode = EpisodeConfig(max_steps=50)  # short enough that some residual episodes time out
-        actor = Mlp([obs_dim(mode), 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
+        actor = Mlp([TRAIN_MODES[mode], 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
         envs = [NavEnv(w, episode=episode) for w in worlds]
         got = paired_episodes("greedy", envs, 8, 11, ShortestPathOracle(0.1),
                               lambda env, seed: greedy_episode(env, actor, mode, seed))
