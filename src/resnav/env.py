@@ -2,8 +2,8 @@
 
 Builds the policy observation, advances the unicycle, and classifies
 terminal outcomes. Every observation is 21-dim and ends with the prior's
-command for the current state; an end-to-end controller reads its first
-E2E_OBS_DIM entries, without those two slots.
+command for the current state (prior_of reads it); an end-to-end controller
+reads its first E2E_OBS_DIM entries, without those two slots.
 """
 
 from __future__ import annotations
@@ -86,19 +86,19 @@ class SensorConfig:
 
 @dataclass
 class StepResult:
-    observation: np.ndarray
-    reward: float
+    observation: np.ndarray  # slots IDX_PREV_V/IDX_PREV_OMEGA hold the executed, clipped command
+    reward: float  # sparse: 1.0 on the step that reaches the goal, else 0.0
     terminal: Terminal | None
-    executed: Action  # the command after clipping to [-1, 1]
 
 
-def compute_reward(d_target: float, config: EpisodeConfig) -> float:
-    """Sparse success reward: 1 iff strictly inside the threshold, else 0."""
-    return 1.0 if d_target < config.d_threshold else 0.0
+def discounted_return(steps: int, terminal: Terminal | None, gamma: float) -> float:
+    """Return of an episode of `steps` steps: the one goal reward, discounted to its step."""
+    return gamma ** (steps - 1) if terminal is Terminal.GOAL else 0.0
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    return float(sum(r * gamma**i for i, r in enumerate(rewards)))
+def prior_of(observation: np.ndarray) -> Action:
+    """The prior's command for the observed state, read from its two slots."""
+    return Action(float(observation[IDX_PRIOR_V]), float(observation[IDX_PRIOR_OMEGA]))
 
 
 def goal_polar(pose: Pose, goal: tuple[float, float]) -> tuple[float, float]:
@@ -156,7 +156,6 @@ class NavEnv:
         self._steps = 0
         self._terminal: Terminal | None = Terminal.TIMEOUT  # force reset before stepping
         self._prev_action = Action(0.0, 0.0)
-        self._prior_action: Action | None = None
 
     @property
     def pose(self) -> Pose:
@@ -173,12 +172,6 @@ class NavEnv:
     @property
     def steps(self) -> int:
         return self._steps
-
-    @property
-    def last_prior_action(self) -> Action:
-        if self._prior_action is None:
-            raise UsageError("reset the environment before reading its state")
-        return self._prior_action
 
     def reset(self, seed: int) -> np.ndarray:
         """Sample a collision-free start pose and goal, return the first observation."""
@@ -221,10 +214,10 @@ class NavEnv:
             self._terminal = Terminal.TIMEOUT
 
         self._prev_action = Action(v, omega)
-        return StepResult(self._observe(polar), compute_reward(polar[1], self.episode), self._terminal,
-                          self._prev_action)
+        reward = 1.0 if self._terminal is Terminal.GOAL else 0.0
+        return StepResult(self._observe(polar), reward, self._terminal)
 
     def _observe(self, polar: tuple[float, float]) -> np.ndarray:
         ranges = scan(self._pose, self.sensor.n_rays, self.sensor.max_range, self.world)
-        self._prior_action = prior_command(ranges, polar[0], self.prior_params)
-        return build_observation(ranges, self.sensor.max_range, polar, self._prev_action, self._prior_action)
+        prior = prior_command(ranges, polar[0], self.prior_params)
+        return build_observation(ranges, self.sensor.max_range, polar, self._prev_action, prior)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig
@@ -23,11 +23,6 @@ from .grid import ShortestPathOracle
 from .prior import PriorParams
 from .rollout import run_episode, write_csv
 from .world import WorldSpec
-
-EPISODE_CSV_COLUMNS = (
-    "mode", "episode", "seed", "world", "success", "steps",
-    "actuation_s", "path_length_m", "shortest_m", "spl_term",
-)
 
 
 @dataclass(frozen=True)
@@ -42,6 +37,9 @@ class EpisodeMetrics:
     path_length_m: float
     shortest_m: float
     spl_term: float | None  # None when the planner gave no usable length
+
+
+EPISODE_CSV_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
 
 
 def spl_term(success: bool, path_m: float, shortest_m: float) -> float | None:
@@ -110,8 +108,8 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
     def write_episode_csv(self, path: str | Path) -> None:
-        write_csv(path, EPISODE_CSV_COLUMNS, ([getattr(e, col) for col in EPISODE_CSV_COLUMNS]
-                                              for res in self.results.values() for e in res.episodes))
+        episodes = (e for res in self.results.values() for e in res.episodes)
+        write_csv(path, EPISODE_CSV_COLUMNS, map(astuple, episodes))
 
 
 def paired_episodes(label: str, envs: list[NavEnv], n_episodes: int, seed_base: int,

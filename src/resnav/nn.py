@@ -8,7 +8,6 @@ requested by passing rng=None, which is exactly equivalent to dropout_p=0.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -105,11 +104,6 @@ class Mlp:
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
         self._bind(self.params)
-
-    def copy(self) -> Mlp:
-        dup = copy.copy(self)
-        dup._bind(self.params.copy())
-        return dup
 
     def draw_masks(self, batch: int, rng: np.random.Generator | None) -> list[np.ndarray] | None:
         """Sample inverted-dropout masks for each hidden layer, or None."""

@@ -1,8 +1,8 @@
 """Deployment-time action selection.
 
-Five interchangeable controllers over the same step interface:
+Five interchangeable controllers over one interface, act(observation, rng):
 
-- prior: the potential-field command, untouched.
+- prior: the potential-field command, read from the observation, untouched.
 - residual: prior plus the dropout-averaged network correction.
 - gated: like residual, but each step estimates the correction's epistemic
   uncertainty from the spread of stochastic forward passes and, with
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .env import E2E_OBS_DIM
+from .env import E2E_OBS_DIM, prior_of
 from .errors import ConfigurationError, UsageError
 from .nn import Mlp, mc_statistics
 from .prior import Action, compose_hybrid
@@ -50,7 +50,6 @@ class PolicyOutput:
     residual_variance: np.ndarray | None = None
     epsilon: float | None = None
     used_prior_only: bool | None = None
-    uniform_draw: float | None = None
 
 
 def epsilon_from_variance(variance: np.ndarray) -> float:
@@ -62,8 +61,8 @@ def epsilon_from_variance(variance: np.ndarray) -> float:
 class PriorPolicy:
     mode = PolicyMode.PRIOR
 
-    def act(self, observation, prior_action: Action, rng: np.random.Generator) -> PolicyOutput:
-        return PolicyOutput(action=prior_action, used_prior_only=True)
+    def act(self, observation, rng: np.random.Generator) -> PolicyOutput:
+        return PolicyOutput(action=prior_of(observation), used_prior_only=True)
 
 
 class ResidualPolicy:
@@ -82,14 +81,14 @@ class ResidualPolicy:
         self.n_passes = n_passes
         self.single_pass = single_pass
 
-    def act(self, observation, prior_action: Action, rng: np.random.Generator) -> PolicyOutput:
+    def act(self, observation, rng: np.random.Generator) -> PolicyOutput:
         if self.single_pass:
             mean = self.actor.forward(np.asarray(observation, dtype=np.float64))
             variance = np.zeros_like(mean)
         else:
             mean, variance = mc_statistics(self.actor, observation, self.n_passes, rng)
         return PolicyOutput(
-            action=compose_hybrid(prior_action, mean),
+            action=compose_hybrid(prior_of(observation), mean),
             residual_mean=mean,
             residual_variance=variance,
             used_prior_only=False,
@@ -121,23 +120,22 @@ class GatedResidualPolicy:
         self.n_passes = n_passes
         self.epsilon_override = epsilon_override
 
-    def act(self, observation, prior_action: Action, rng: np.random.Generator) -> PolicyOutput:
+    def act(self, observation, rng: np.random.Generator) -> PolicyOutput:
         mean, variance = mc_statistics(self.actor, observation, self.n_passes, rng)
         epsilon = (
             self.epsilon_override
             if self.epsilon_override is not None
             else epsilon_from_variance(variance)
         )
-        draw = float(rng.uniform())
-        use_prior = draw < epsilon
-        action = prior_action if use_prior else compose_hybrid(prior_action, mean)
+        use_prior = float(rng.uniform()) < epsilon
+        prior = prior_of(observation)
+        action = prior if use_prior else compose_hybrid(prior, mean)
         return PolicyOutput(
             action=action,
             residual_mean=mean,
             residual_variance=variance,
             epsilon=epsilon,
             used_prior_only=use_prior,
-            uniform_draw=draw,
         )
 
 
@@ -147,7 +145,7 @@ class EndToEndPolicy:
     def __init__(self, actor: Mlp) -> None:
         self.actor = actor
 
-    def act(self, observation, prior_action: Action | None, rng: np.random.Generator) -> PolicyOutput:
+    def act(self, observation, rng: np.random.Generator) -> PolicyOutput:
         out = self.actor.forward(np.asarray(observation, dtype=np.float64)[:E2E_OBS_DIM])
         return PolicyOutput(action=Action(float(out[0]), float(out[1])))
 
@@ -155,7 +153,7 @@ class EndToEndPolicy:
 class RandomPolicy:
     mode = PolicyMode.RANDOM
 
-    def act(self, observation, prior_action: Action | None, rng: np.random.Generator) -> PolicyOutput:
+    def act(self, observation, rng: np.random.Generator) -> PolicyOutput:
         v, omega = rng.uniform(-1.0, 1.0, 2)
         return PolicyOutput(action=Action(float(v), float(omega)))
 

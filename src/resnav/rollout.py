@@ -11,25 +11,18 @@ import csv
 import io
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .env import NavEnv, StepResult, Terminal, discounted_return
+from .env import IDX_PREV_OMEGA, IDX_PREV_V, NavEnv, StepResult, Terminal, discounted_return, prior_of
 from .errors import ConfigurationError, UsageError
 from .fileio import read_json, write_atomically
 from .policy import PolicyMode, PolicyOutput
-from .prior import Action
 from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
-TRAJ_COLUMNS = (
-    "t", "x", "y", "theta",
-    "v_exec", "omega_exec", "v_prior", "omega_prior",
-    "mu_dv", "mu_dw", "var_dv", "var_dw",
-    "epsilon", "used_prior_only", "reward",
-)
 _TRAJ_TYPES = {"t": int, "used_prior_only": bool}
 _BOOLS = {"true": True, "false": False}
 
@@ -51,6 +44,9 @@ class TrajectoryRow:
     epsilon: float | None = None
     used_prior_only: bool | None = None
     reward: float | None = None
+
+
+TRAJ_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))
 
 
 @dataclass
@@ -76,36 +72,35 @@ def policy_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1])
 
 
-def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[Action | None, PolicyOutput, StepResult]]:
+def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[np.ndarray, PolicyOutput, StepResult]]:
     """Reset `env` with `seed` and step `policy` until the episode ends.
 
-    Yields (prior, output, result) after every step, where prior is the
-    prior command the policy saw (None for an end-to-end policy). The env is
-    left on the step just yielded, so its pose, start and path_length can
-    be read between steps and after the last one.
+    Yields (observation, output, result) after every step, where observation
+    is what the policy acted on. The env is left on the step just yielded,
+    so its pose, start and path_length can be read between steps and after
+    the last one.
     """
     obs = env.reset(seed)
     rng = policy_rng(seed)
     while True:
-        prior = None if policy.mode is PolicyMode.END_TO_END else env.last_prior_action
-        out = policy.act(obs, prior, rng)
+        out = policy.act(obs, rng)
         result = env.step(out.action)
-        yield prior, out, result
+        yield obs, out, result
         if result.terminal is not None:
             return
         obs = result.observation
 
 
 def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
-    """Roll one episode of `policy` in `env`, recording every step."""
+    """Roll one episode of `policy` in `env`, recording every step; end-to-end rows record no prior."""
     rows: list[TrajectoryRow] = []
-    rewards: list[float] = []
-    for prior, out, result in drive(env, policy, seed):
-        rewards.append(result.reward)
+    for obs, out, result in drive(env, policy, seed):
+        prior = None if policy.mode is PolicyMode.END_TO_END else prior_of(obs)
         rows.append(TrajectoryRow(
             t=env.steps,
             x=env.pose.x, y=env.pose.y, theta=env.pose.theta,
-            v_exec=result.executed.v, omega_exec=result.executed.omega,
+            v_exec=float(result.observation[IDX_PREV_V]),
+            omega_exec=float(result.observation[IDX_PREV_OMEGA]),
             v_prior=prior.v if prior is not None else None,
             omega_prior=prior.omega if prior is not None else None,
             mu_dv=float(out.residual_mean[0]) if out.residual_mean is not None else None,
@@ -124,7 +119,7 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
         success=result.terminal is Terminal.GOAL,
         steps=env.steps,
         path_length_m=env.path_length,
-        discounted_return=discounted_return(rewards, env.episode.gamma),
+        discounted_return=discounted_return(env.steps, result.terminal, env.episode.gamma),
         start=start.position(),
         goal=env.goal,
         rows=[TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows],
@@ -158,7 +153,7 @@ def meta_path_for(path: str | Path) -> Path:
 def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> None:
     """Write the step CSV and its .meta.json sidecar next to it."""
     path = Path(path)
-    write_csv(path, TRAJ_COLUMNS, ([getattr(row, col) for col in TRAJ_COLUMNS] for row in record.rows))
+    write_csv(path, TRAJ_COLUMNS, map(astuple, record.rows))
     meta = {
         "format": TRAJ_FORMAT,
         "mode": record.mode,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import (E2E_OBS_DIM, EVAL_SEED_OFFSET, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig,
-                  Terminal, discounted_return)
+                  Terminal, discounted_return, prior_of)
 from .errors import ConfigurationError, TrainingDiverged, UsageError, check_finite
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
@@ -286,7 +286,7 @@ def read_training_log(path: str | Path) -> list[TrainLogRow]:
 def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
     """Deterministic rollout (no noise, dropout off) used for periodic eval; True on success."""
     policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
-    for _prior, _out, result in drive(env, policy, seed):
+    for _obs, _out, result in drive(env, policy, seed):
         pass
     return result.terminal is Terminal.GOAL
 
@@ -356,7 +356,6 @@ def train(
     for ep in range(start_episode, config.total_episodes + 1):
         env = envs[int(rng_episode.integers(len(envs)))]
         obs = env.reset(int(rng_episode.integers(EVAL_SEED_OFFSET)))[:dim]
-        rewards: list[float] = []
         while True:
             if total_steps < config.warmup_steps:
                 policy_action = rng_explore.uniform(-1.0, 1.0, ACTION_DIM)
@@ -364,14 +363,13 @@ def train(
                 noise = rng_explore.normal(0.0, config.exploration_noise_sigma, ACTION_DIM)
                 policy_action = np.clip(nets.actor.forward(obs) + noise, -1.0, 1.0)
             if mode == "residual":
-                executed = compose_hybrid(env.last_prior_action, policy_action)
+                executed = compose_hybrid(prior_of(obs), policy_action)
             else:
                 executed = Action(float(policy_action[0]), float(policy_action[1]))
             result = env.step(executed)
             next_obs = result.observation[:dim]
             buffer.add(obs, policy_action, result.reward, next_obs, bootstrap_mask(result.terminal))
             obs = next_obs
-            rewards.append(result.reward)
             total_steps += 1
 
             if total_steps >= config.warmup_steps and len(buffer) >= config.batch_size:
@@ -389,7 +387,7 @@ def train(
             steps=env.steps,
             path_length_m=env.path_length,
             success=int(result.terminal is Terminal.GOAL),
-            ret=discounted_return(rewards, episode_config.gamma),
+            ret=discounted_return(env.steps, result.terminal, episode_config.gamma),
         )
         log.append(row)
         if ep % config.eval_every == 0:

@@ -257,46 +257,47 @@ def raycast_angles(
     Returns distances clamped to max_range.  Walls bound every ray, so a
     ray from inside the arena always has a finite hit.  Work arrays are
     laid out (shapes, rays), so the nearest hit is a reduction over
-    contiguous rows.
+    contiguous rows.  Parallel rays and far-off origins overflow or divide
+    by zero quietly: such a ray misses and reads max_range.
     """
     dx = np.cos(angles)
     dy = np.sin(angles)
 
-    px, py, ex, ey = world._segment_columns  # the four walls are always there
-    diff_x = px - x
-    diff_y = py - y
-    t_num = diff_x * ey - diff_y * ex
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        px, py, ex, ey = world._segment_columns  # the four walls are always there
+        diff_x = px - x
+        diff_y = py - y
+        t_num = diff_x * ey - diff_y * ex
         denom = ey * dx
         denom -= ex * dy
         t = t_num / denom
         u = diff_x * dy
         u -= diff_y * dx
         u /= denom
-    hit = np.abs(denom) > _EPS_PARALLEL
-    hit &= t >= 0.0
-    hit &= u >= 0.0
-    hit &= u <= 1.0
-    np.putmask(t, ~hit, np.inf)
-    best = t.min(axis=0)
-
-    cx, cy, r2 = world._circle_columns
-    if cx.shape[0]:
-        ocx = x - cx
-        ocy = y - cy
-        b = ocx * dx
-        b += ocy * dy
-        c0 = ocx * ocx + ocy * ocy - r2
-        disc = b * b
-        disc -= c0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        np.negative(b, out=b)
-        t1 = b - sq
-        t = np.where(t1 >= 0.0, t1, b + sq)
-        hit = disc >= 0.0
+        hit = np.abs(denom) > _EPS_PARALLEL
         hit &= t >= 0.0
+        hit &= u >= 0.0
+        hit &= u <= 1.0
         np.putmask(t, ~hit, np.inf)
-        np.minimum(best, t.min(axis=0), out=best)
+        best = t.min(axis=0)
+
+        cx, cy, r2 = world._circle_columns
+        if cx.shape[0]:
+            ocx = x - cx
+            ocy = y - cy
+            b = ocx * dx
+            b += ocy * dy
+            c0 = ocx * ocx + ocy * ocy - r2
+            disc = b * b
+            disc -= c0
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            np.negative(b, out=b)
+            t1 = b - sq
+            t = np.where(t1 >= 0.0, t1, b + sq)
+            hit = disc >= 0.0
+            hit &= t >= 0.0
+            np.putmask(t, ~hit, np.inf)
+            np.minimum(best, t.min(axis=0), out=best)
 
     return np.minimum(best, max_range, out=best)
 

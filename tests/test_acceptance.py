@@ -419,18 +419,18 @@ def test_gate_fallback_frequency_tracks_uncertainty(trained_runs, heldout_suite)
     actor, kind = load_checkpoint(trained_runs[("residual", 0)].actor_path)
     gated = make_policy(PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=MC_PASSES)
 
-    best_eps, best_obs, best_prior = -1.0, None, None
+    best_eps, best_obs = -1.0, None
     n_states = 0
     for i in range(10):
         env = _residual_env(heldout_suite[i % len(heldout_suite)])
         obs = env.reset(seed=EVAL_SEED_OFFSET + 31_000 + i)
         rng = policy_rng(31_000 + i)
         for _ in range(EPISODE.max_steps):
-            out = gated.act(obs, env.last_prior_action, rng)
+            out = gated.act(obs, rng)
             n_states += 1
             assert out.epsilon is not None and 0.0 <= out.epsilon <= 1.0
             if out.epsilon > best_eps:
-                best_eps, best_obs, best_prior = out.epsilon, obs.copy(), env.last_prior_action
+                best_eps, best_obs = out.epsilon, obs.copy()  # the prior's command is in its slots
             result = env.step(out.action)
             obs = result.observation
             if result.terminal is not None:
@@ -440,7 +440,7 @@ def test_gate_fallback_frequency_tracks_uncertainty(trained_runs, heldout_suite)
     fallbacks, eps_sum = 0, 0.0
     n_draws = 10_000
     for _ in range(n_draws):
-        out = gated.act(best_obs, best_prior, draw_rng)
+        out = gated.act(best_obs, draw_rng)
         fallbacks += out.used_prior_only
         eps_sum += out.epsilon
     mean_eps = eps_sum / n_draws

@@ -1,5 +1,7 @@
 """Artifacts are replaced atomically: a write that fails part-way leaves the previous file intact."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def test_checkpoint_survives_a_failed_rewrite(tmp_path):
     net = Mlp([4, 8, 2], "tanh", 0.2, rng=np.random.default_rng(1))
     save_checkpoint(net, "residual", path)
     before = path.read_bytes()
-    broken = net.copy()
+    broken = copy.deepcopy(net)
     broken.params = Unconvertible()
     with pytest.raises(OSError):
         save_checkpoint(broken, "residual", path)  # the parameter bytes cannot be produced

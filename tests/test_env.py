@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from resnav.env import (
     SensorConfig,
     Terminal,
     build_observation,
-    compute_reward,
     discounted_return,
     goal_polar,
+    prior_of,
 )
 from resnav.errors import ConfigurationError, UsageError
-from resnav.prior import Action, PriorParams
-from resnav.world import Pose, Rect, WorldSpec
+from resnav.prior import Action, PriorParams, prior_command
+from resnav.world import Pose, Rect, WorldSpec, beam_angles, raycast_angles, scan
 from tests.conftest import make_empty_world
 
 
@@ -110,11 +111,14 @@ class TestResetAndStep:
         with pytest.raises(UsageError, match="collision-free"):
             env.reset(seed=0)
 
-    def test_executed_action_is_clipped(self, empty_world):
+    @pytest.mark.parametrize("command, executed", [
+        ((3.0, -9.0), (1.0, -1.0)), ((-1.5, 0.25), (-1.0, 0.25)), ((0.4, -0.7), (0.4, -0.7)),
+    ])
+    def test_executed_action_is_clipped(self, empty_world, command, executed):
         env = NavEnv(empty_world)
         env.reset(seed=5)
-        r = env.step(Action(3.0, -9.0))
-        assert r.executed == Action(1.0, -1.0)
+        r = env.step(Action(*command))
+        assert (r.observation[IDX_PREV_V], r.observation[IDX_PREV_OMEGA]) == executed
 
     def test_d_target_matches_euclidean(self, empty_world):
         env = NavEnv(empty_world)
@@ -212,25 +216,54 @@ class TestObservation:
         assert np.array_equal(other[:E2E_OBS_DIM], obs[:E2E_OBS_DIM])
         assert not np.array_equal(other, obs)
 
-    def test_prior_slots_match_last_prior_action(self, cluttered_world):
+    def test_prior_slots_hold_the_prior_command_for_the_state(self, cluttered_world):
         env = NavEnv(cluttered_world)
         obs = env.reset(seed=8)
         assert obs.shape == (RESIDUAL_OBS_DIM,)
-        assert obs[IDX_PRIOR_V] == env.last_prior_action.v
-        assert obs[IDX_PRIOR_OMEGA] == env.last_prior_action.omega
+        for _ in range(5):
+            ranges = scan(env.pose, env.sensor.n_rays, env.sensor.max_range, env.world)
+            want = prior_command(ranges, goal_polar(env.pose, env.goal)[0], env.prior_params)
+            got = prior_of(obs)
+            assert got == want
+            assert type(got.v) is float and type(got.omega) is float
+            obs = env.step(Action(0.3, 0.2)).observation
 
 
 class TestRewardAndReturn:
-    def test_compute_reward_cases(self):
-        cfg = EpisodeConfig()
-        assert compute_reward(0.1, cfg) == 1.0
-        assert compute_reward(0.2, cfg) == 0.0  # strict inequality at the boundary
-        assert compute_reward(5.0, cfg) == 0.0
+    @pytest.mark.parametrize("offset, terminal, reward", [
+        (0.199, Terminal.GOAL, 1.0), (0.201, None, 0.0),  # the goal test is distance < d_threshold = 0.2
+    ])
+    def test_reward_is_one_exactly_on_the_goal_step(self, offset, terminal, reward):
+        env = NavEnv(tight_goal_world((5.0, 5.0), (5.0 + offset, 5.0)))
+        env.reset(seed=0)
+        r = env.step(Action(0.0, 0.0))
+        assert r.terminal is terminal
+        assert r.reward == reward
 
     def test_discounted_return_examples(self):
-        assert discounted_return([0.0, 0.0, 1.0], 0.99) == pytest.approx(0.99**2)
-        assert discounted_return([1.0], 0.5) == 1.0
-        assert discounted_return([0.0] * 10, 0.9) == 0.0
+        assert discounted_return(3, Terminal.GOAL, 0.99) == 0.99**2
+        assert discounted_return(1, Terminal.GOAL, 0.5) == 1.0
+        assert discounted_return(10, Terminal.TIMEOUT, 0.9) == 0.0
+        assert discounted_return(4, Terminal.COLLISION, 0.9) == 0.0
+
+    @pytest.mark.parametrize("start, goal, command, max_steps, terminal", [
+        ((3.0, 5.0), (6.0, 5.0), None, 300, Terminal.GOAL),
+        ((0.5, 5.0), (8.0, 8.0), Action(1.0, 0.0), 300, Terminal.COLLISION),
+        ((2.0, 2.0), (8.0, 8.0), Action(0.0, 0.3), 25, Terminal.TIMEOUT),
+    ])
+    def test_discounted_return_equals_the_discounted_reward_sum(self, start, goal, command, max_steps, terminal):
+        env = NavEnv(tight_goal_world(start, goal), EpisodeConfig(max_steps=max_steps, gamma=0.97))
+        obs = env.reset(seed=2)
+        rewards = []
+        while True:
+            r = env.step(command or prior_of(obs))
+            rewards.append(r.reward)
+            obs = r.observation
+            if r.terminal is not None:
+                break
+        assert r.terminal is terminal
+        want = sum(x * 0.97**i for i, x in enumerate(rewards))  # the discounted sum of the sparse rewards
+        assert discounted_return(env.steps, r.terminal, 0.97) == want
 
 
 # SensorConfig, EpisodeConfig and PriorParams (with NavEnv's d_influence <= max_range) are
@@ -258,15 +291,26 @@ class TestConfigValidation:
         except ConfigurationError as exc:
             assert name in str(exc)
             return
-        observations, rewards = [env.reset(seed=3)], []
+        observations = [env.reset(seed=3)]
         for _ in range(3):
-            result = env.step(env.last_prior_action)
+            result = env.step(prior_of(observations[-1]))
             observations.append(result.observation)
-            rewards.append(result.reward)
             if result.terminal is not None:
                 break
         assert np.isfinite(observations).all()
-        assert math.isfinite(discounted_return(rewards, env.episode.gamma))
+        assert math.isfinite(discounted_return(env.steps, result.terminal, env.episode.gamma))
+
+    def test_far_outside_the_arena_scans_quietly(self, cluttered_world):
+        # EpisodeConfig admits any finite dt, so one step can leave the arena by ~1e308 m
+        env = NavEnv(cluttered_world, EpisodeConfig(dt=1e308))
+        env.reset(seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ranges = raycast_angles(1e308, 1e308, beam_angles(180), 5.0, cluttered_world)
+            result = env.step(Action(1.0, 1.0))
+        assert np.isfinite(ranges).all() and ranges.max() <= 5.0
+        assert result.terminal is Terminal.COLLISION
+        assert np.isfinite(result.observation).all() and result.observation[:N_BINS].max() <= 1.0
 
     def test_bad_sensor(self):
         with pytest.raises(ConfigurationError):

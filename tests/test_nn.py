@@ -455,8 +455,8 @@ class TestCheckpoint:
 
 class TestCopies:
     @pytest.mark.parametrize("clone", [
-        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, Mlp.copy,
-    ], ids=["pickle", "deepcopy", "copy"])
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
     def test_layer_views_follow_the_copied_params(self, clone):
         net = Mlp([4, 8, 2], "tanh", 0.2, rng=np.random.default_rng(6))
         x = np.linspace(-1.0, 1.0, 4)

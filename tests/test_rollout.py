@@ -65,8 +65,8 @@ class TestRunEpisode:
         assert rec_res.goal == rec_e2e.goal
 
     def test_end_to_end_rows_leave_the_prior_empty(self, tmp_path):
-        # the env computes the prior on every step, but an end-to-end policy is not
-        # handed it, so its trajectory has no prior columns to plot
+        # the prior's command is in every observation, but an end-to-end policy is not
+        # driven by it, so run_episode leaves its prior columns empty and there is nothing to plot
         env = residual_env(make_cluttered_world(), max_steps=15)
         actor = Mlp([E2E_OBS_DIM, 8, 2], "tanh", 0.0, rng=np.random.default_rng(1))
         record = run_episode(env, EndToEndPolicy(actor), seed=4)

@@ -209,7 +209,7 @@ class TestActorUpdate:
 
         config = small_config(actor_lr=1e-2, dropout_p=0.0, tau=0.005)
         actor = Mlp([obs_dim, 16, 16, 2], "tanh", 0.0, rng=rng)
-        nets = Td3Nets.from_networks(actor, critic, critic.copy(), config)
+        nets = Td3Nets.from_networks(actor, critic, copy.deepcopy(critic), config)
         batch = (np.zeros((8, obs_dim + 2)), None, None, None)
         for _ in range(800):
             actor_update(nets, batch, config, rng)
@@ -248,9 +248,9 @@ class TestActorUpdate:
 
 def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
     """Plain per-critic copies of nets with the TD3 updates written one critic at a time."""
-    actor, actor_target = nets.actor.copy(), nets.actor_target.copy()
-    critics = [c.copy() for c in nets.critics]
-    targets = [c.copy() for c in nets.critics_target]
+    actor, actor_target = copy.deepcopy(nets.actor), copy.deepcopy(nets.actor_target)
+    critics = [copy.deepcopy(c) for c in nets.critics]
+    targets = [copy.deepcopy(c) for c in nets.critics_target]
     adam_actor = Adam(actor.params, config.actor_lr)
     adam_critics = [Adam(c.params, config.critic_lr) for c in critics]
 
@@ -412,8 +412,8 @@ class TestFlatLearner:
             assert np.float64(-got).tobytes() == np.float64(negated).tobytes()
 
     @pytest.mark.parametrize("clone", [
-        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy, Mlp.copy,
-    ], ids=["pickle", "deepcopy", "copy"])
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
     def test_copies_of_a_bound_network_do_not_alias_the_learner(self, clone):
         nets = Td3Nets.build(5, small_config(), np.random.default_rng(6))
         for net in (nets.actor, nets.critics[1], nets.critics_target[0]):
