@@ -240,6 +240,20 @@ class TestRewardAndReturn:
         assert r.terminal is terminal
         assert r.reward == reward
 
+    def test_goal_test_is_strict_at_the_threshold(self):
+        world = tight_goal_world((5.0, 5.0), (5.2, 5.0))
+        probe = NavEnv(world)
+        probe.reset(seed=0)
+        d = goal_polar(probe.pose, probe.goal)[1]
+        # A zero command leaves the pose where it is, so the step sees exactly distance d.
+        for threshold, terminal, reward in [(d, None, 0.0), (math.nextafter(d, math.inf), Terminal.GOAL, 1.0)]:
+            env = NavEnv(world, EpisodeConfig(d_threshold=threshold))
+            env.reset(seed=0)
+            r = env.step(Action(0.0, 0.0))
+            assert goal_polar(env.pose, env.goal)[1] == d
+            assert r.terminal is terminal
+            assert r.reward == reward
+
     def test_discounted_return_examples(self):
         assert discounted_return(3, Terminal.GOAL, 0.99) == 0.99**2
         assert discounted_return(1, Terminal.GOAL, 0.5) == 1.0
