@@ -1,9 +1,12 @@
 """Minimal dense-network kernel: forward, exact backprop, Adam, MC dropout.
 
-Float64 throughout so tests can make bit-level claims. Dropout is the
-inverted variant (kept activations scaled by 1/(1-p)) and applies to hidden
-activations only, never to the output layer. A deterministic forward is
-requested by passing rng=None, which is exactly equivalent to dropout_p=0.
+A network computes in the dtype of its parameters. Networks are built in
+float64, which every evaluation path and checkpoint uses; the TD3 learner
+narrows its networks to float32 and trains in that. Dropout is the
+inverted variant (kept activations scaled by 1/(1-p)) and applies to
+hidden activations only, never to the output layer. A deterministic
+forward is requested by passing rng=None, which is exactly equivalent to
+dropout_p=0.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ class Mlp:
     initialisation and the output layer small uniform weights.
 
     All parameters live in one float64 vector, params (per layer: weights
-    row-major, then bias); weights[i] and biases[i] are views into it.
+    row-major, then bias); weights[i] and biases[i] are views into it. The
+    network computes in params.dtype: inputs, dropout masks and the traced
+    ReLU masks follow it, so a network rebound to float32 params runs in
+    float32 throughout.
     """
 
     def __init__(
@@ -111,7 +117,8 @@ class Mlp:
             return None
         # one draw split in layer order: the same stream as one draw per layer
         widths = self.layer_sizes[1:-1]
-        flat = np.multiply(rng.random(batch * sum(widths)) >= self.dropout_p, 1.0 / (1.0 - self.dropout_p))
+        flat = np.multiply(rng.random(batch * sum(widths)) >= self.dropout_p, 1.0 / (1.0 - self.dropout_p),
+                           dtype=self.params.dtype)
         masks, offset = [], 0
         for w in widths:
             masks.append(flat[offset:offset + batch * w].reshape(batch, w))
@@ -134,7 +141,7 @@ class Mlp:
         return y, trace
 
     def _as_batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = np.asarray(x, dtype=self.params.dtype)
         if arr.ndim == 1:
             arr = arr[None, :]
             squeeze = True
@@ -156,7 +163,7 @@ class Mlp:
             pre += self.biases[i]
             if trace is not None:
                 # float, not bool: backward multiplies by it without a cast per element
-                trace.relu_pos.append((pre > 0.0).astype(np.float64))
+                trace.relu_pos.append((pre > 0.0).astype(pre.dtype))
             h = np.maximum(pre, 0.0, out=pre)
             if masks is not None:
                 h *= masks[i]
@@ -178,7 +185,7 @@ class Mlp:
         Gradients are summed over the batch; put any 1/batch factor into
         upstream.
         """
-        delta = np.asarray(upstream, dtype=np.float64)
+        delta = np.asarray(upstream, dtype=self.params.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
         if delta.shape != trace.output.shape:

@@ -29,6 +29,8 @@ from .rollout import drive, read_csv, write_csv
 from .world import WorldSpec
 
 ACTION_DIM = 2
+#: the learner's dtype: networks, gradients, optimiser state and replay rows
+LEARNER_DTYPE = np.float32
 #: training mode -> width of the observation prefix its actor reads
 TRAIN_MODES = {"residual": RESIDUAL_OBS_DIM, "end_to_end": E2E_OBS_DIM}
 TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
@@ -54,12 +56,17 @@ class Td3Config:
     dropout_p: float = 0.2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        counts = ("policy_delay", "batch_size", "buffer_capacity", "total_episodes", "eval_every", "eval_episodes")
+        integers = [(name, getattr(self, name)) for name in (*counts, "warmup_steps")]
+        integers += [("hidden_sizes", h) for h in self.hidden_sizes]
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         check_finite(self)
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
-        for name in ("policy_delay", "batch_size", "buffer_capacity", "total_episodes",
-                     "eval_every", "eval_episodes"):
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.batch_size > self.buffer_capacity:  # train would never make an update
@@ -89,7 +96,7 @@ class ReplayBuffer:
         if capacity < 1:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2))
+        self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), LEARNER_DTYPE)
         self.obs_action, self.reward, self.next_obs, self.done = self._split(self.rows)
         self.obs, self.action = self.obs_action[:, :obs_dim], self.obs_action[:, obs_dim:]
         self._size = 0
@@ -138,10 +145,11 @@ def bootstrap_mask(terminal: Terminal | None) -> float:
 class Td3Nets:
     """Actor and twin critics (Q1 is critics[0], Q2 critics[1]), their targets and optimisers.
 
-    The learner is two float64 vectors laid out [actor | critic 1 | critic 2]:
+    The learner is two float32 vectors laid out [actor | critic 1 | critic 2]:
     live holds the trained parameters and target their Polyak averages, and
-    every network here is a view of its slice. The gradients are written into
-    slices of one scratch vector with the same layout. The critics always step
+    every network here is a view of its slice, so it computes in float32.
+    The gradients are written into slices of one scratch vector with the
+    same layout, and the Adam moments follow its dtype. The critics always step
     together, so one Adam covers their joint slice (critics_live, with
     gradient critics_grad); Adam and Polyak are elementwise, so the joint
     steps equal one step per network.
@@ -176,9 +184,9 @@ class Td3Nets:
 
     @classmethod
     def from_networks(cls, actor: Mlp, critic1: Mlp, critic2: Mlp, config: Td3Config) -> Td3Nets:
-        """Copies of the networks as live, targets equal to them, fresh optimiser state."""
+        """Copies of the networks narrowed to float32 as live, targets equal to them, fresh optimiser state."""
         nets = (actor, critic1, critic2)
-        live = np.concatenate([net.params for net in nets])
+        live = np.concatenate([net.params for net in nets], dtype=LEARNER_DTYPE)
         target = live.copy()
         grad = np.empty_like(live)
         ends = np.cumsum([net.params.size for net in nets])[:-1]
@@ -215,7 +223,7 @@ def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np
     """
     obs_action, reward, next_obs, done = batch
     b = obs_action.shape[0]
-    noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM))
+    noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM)).astype(LEARNER_DTYPE)
     np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
     next_action = nets.actor_target.forward(next_obs)
     next_action += noise
@@ -283,6 +291,13 @@ def read_training_log(path: str | Path) -> list[TrainLogRow]:
     return [TrainLogRow(*cells) for cells in read_csv(path, TRAIN_LOG_COLUMNS, _LOG_TYPES, required=5)]
 
 
+def widened(net: Mlp) -> Mlp:
+    """A float64 copy of a learner network: what evaluation runs and train returns."""
+    wide = copy.copy(net)
+    wide._bind(net.params.astype(np.float64))
+    return wide
+
+
 def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
     """Deterministic rollout (no noise, dropout off) used for periodic eval; True on success."""
     policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
@@ -318,12 +333,17 @@ def train(
     logged return alike. The periodic greedy evaluation scores SPL against
     oracle (default: ShortestPathOracle(), a 0.05 m grid).
 
+    The learner trains in float32 (Td3Nets). The periodic evaluation and
+    the returned actor use a float64 copy of the float32 actor, so a logged
+    eval_success/eval_spl equals an evaluate of the actor as returned.
+
     Checkpoints land in out_dir: actor.ckpt and train_log.csv at the end
     plus a rolling snapshot (actor/critic1/critic2 and the log so far)
-    every eval_every episodes. Resuming restarts from the snapshot networks
-    with a fresh replay buffer and optimizer state, and train_log.csv
-    keeps the snapshot's rows ahead of the new ones; TrainResult.log holds
-    only the episodes this call ran.
+    every eval_every episodes. They hold the float32 values widened to
+    float64, so a resumed learner narrows them back exactly. Resuming
+    restarts from the snapshot networks with a fresh replay buffer and
+    optimizer state, and train_log.csv keeps the snapshot's rows ahead of
+    the new ones; TrainResult.log holds only the episodes this call ran.
     """
     if mode not in TRAIN_MODES:
         raise ConfigurationError(f"unknown training mode {mode!r}")
@@ -391,19 +411,21 @@ def train(
         )
         log.append(row)
         if ep % config.eval_every == 0:
+            actor = widened(nets.actor)
             greedy = paired_episodes(mode, envs, config.eval_episodes, seed * 100_000, oracle,
-                                     lambda env, s: greedy_episode(env, nets.actor, mode, s))
+                                     lambda env, s: greedy_episode(env, actor, mode, s))
             row.eval_success, row.eval_spl = greedy.success_rate, greedy.spl
             if out_path is not None:
                 _save_snapshot(out_path, nets, mode, history + log)
 
+    actor = widened(nets.actor)
     ckpt_path = log_path = None
     if out_path is not None:
         ckpt_path = out_path / "actor.ckpt"
-        save_checkpoint(nets.actor, mode, ckpt_path)
+        save_checkpoint(actor, mode, ckpt_path)
         log_path = out_path / "train_log.csv"
         write_training_log(history + log, log_path)
-    return TrainResult(actor=nets.actor, mode=mode, log=log, checkpoint_path=ckpt_path, log_path=log_path)
+    return TrainResult(actor=actor, mode=mode, log=log, checkpoint_path=ckpt_path, log_path=log_path)
 
 
 def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRow]) -> None:

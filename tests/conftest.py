@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,26 @@ def param_grad(net: Mlp, trace: Trace, upstream: np.ndarray) -> np.ndarray:
     grad = np.empty_like(net.params)
     net.backward(trace, upstream, out=grad)
     return grad
+
+
+# Largest error of a float32 result against the float64 result of the same
+# parameters and inputs, relative to the float64 result's largest magnitude.
+# Fixed before the comparisons were first run; a prototype of the float32
+# learner measured at most 5.5e-7 on 20 critics (23 -> 64 -> 64 -> 1, batch 128).
+FLOAT32_AGREEMENT = 1e-5
+
+
+def narrowed(net: Mlp) -> Mlp:
+    """A float32 copy of a network, made as Td3Nets.from_networks narrows the learner's."""
+    narrow = copy.copy(net)
+    narrow._bind(net.params.astype(np.float32))
+    return narrow
+
+
+def relative_error(narrow, wide) -> float:
+    """max |narrow - wide| / max |wide|, for a float32 result and its float64 counterpart."""
+    assert np.asarray(narrow).dtype == np.float32 and np.asarray(wide).dtype == np.float64
+    return float(np.max(np.abs(narrow - wide)) / np.max(np.abs(wide)))
 
 
 def make_empty_world(side: float = 10.0, robot_radius: float = 0.15) -> WorldSpec:

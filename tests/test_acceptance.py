@@ -2,14 +2,16 @@
 
 Each test here verifies one advertised guarantee end to end and prints a
 labelled PASS/FAIL line with the measured numbers.  Checks that need
-trained policies share one set of desk-scale runs (ten trainings, run two
-at a time in worker processes, plus three held-out evaluations).  While
-iterating locally you can point RESNAV_ACCEPTANCE_CACHE at a directory to
-keep the runs between invocations; the official run trains from scratch.
+trained policies share one set of desk-scale runs (ten trainings, then
+three held-out evaluations, each set run two at a time in worker
+processes).  While iterating locally you can point RESNAV_ACCEPTANCE_CACHE
+at a directory to keep the runs between invocations; the official run
+trains from scratch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import math
@@ -116,6 +118,18 @@ def heldout_suite():
 _ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+@contextlib.contextmanager
+def _pinned_pool():
+    """Up to two spawned worker processes, each started with one BLAS thread.
+
+    A worker starts only when a task is submitted.
+    """
+    with mock.patch.dict(os.environ, _ONE_BLAS_THREAD), ProcessPoolExecutor(
+        max_workers=min(2, os.cpu_count() or 1), mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        yield pool
+
+
 # Every (mode, seed) run, longest first by the per-run times the fixture prints
 # (2-core box, one BLAS thread): with the slowest runs started first, the last
 # runs to start are short and the two workers finish close together.
@@ -140,11 +154,8 @@ def trained_runs(train_suite, tmp_path_factory):
             for mode in ("residual", "end_to_end") for seed in TRAIN_SEEDS}
     assert sorted(_LONGEST_FIRST) == sorted(outs)
     # The runs are independent and deterministic, so fresh worker processes
-    # train them side by side with the same outputs; the pool starts a worker
-    # only when a run is submitted.
-    with mock.patch.dict(os.environ, _ONE_BLAS_THREAD), ProcessPoolExecutor(
-        max_workers=min(2, os.cpu_count() or 1), mp_context=multiprocessing.get_context("spawn"),
-    ) as pool:
+    # train them side by side with the same outputs.
+    with _pinned_pool() as pool:
         futures = {
             (mode, seed): pool.submit(_timed_train, train_suite, mode, DESK, EPISODE, SENSOR, PRIOR,
                                       seed=seed, out_dir=outs[mode, seed])
@@ -163,36 +174,44 @@ def trained_runs(train_suite, tmp_path_factory):
     }
 
 
+def _evaluate_heldout(heldout_suite, residual_ckpt: Path, end_to_end_ckpt: Path, seed: int):
+    """All five controllers on the held-out suite, with one training seed's actors."""
+    res_actor, res_kind = load_checkpoint(residual_ckpt)
+    e2e_actor, e2e_kind = load_checkpoint(end_to_end_ckpt)
+    policies = {
+        "prior": PriorPolicy(),
+        "residual": make_policy(
+            PolicyMode.RESIDUAL, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
+        ),
+        "gated": make_policy(
+            PolicyMode.GATED, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
+        ),
+        "end_to_end": make_policy(PolicyMode.END_TO_END, actor=e2e_actor, actor_kind=e2e_kind),
+        "random": RandomPolicy(),
+    }
+    return evaluate(
+        heldout_suite,
+        policies,
+        n_episodes=HELDOUT_EPISODES,
+        seed_base=seed * 100_000,
+        episode_config=EPISODE,
+        sensor_config=SENSOR,
+        prior_params=PRIOR,
+        oracle=ShortestPathOracle(cell=0.05),
+    )
+
+
 @pytest.fixture(scope="session")
 def heldout_results(trained_runs, heldout_suite):
     """Per-training-seed evaluation of all five controllers on unseen worlds."""
-    oracle = ShortestPathOracle(cell=0.05)
-    per_seed = {}
-    for seed in HELDOUT_EVAL_SEEDS:
-        res_actor, res_kind = load_checkpoint(trained_runs[("residual", seed)].actor_path)
-        e2e_actor, e2e_kind = load_checkpoint(trained_runs[("end_to_end", seed)].actor_path)
-        policies = {
-            "prior": PriorPolicy(),
-            "residual": make_policy(
-                PolicyMode.RESIDUAL, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
-            ),
-            "gated": make_policy(
-                PolicyMode.GATED, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
-            ),
-            "end_to_end": make_policy(PolicyMode.END_TO_END, actor=e2e_actor, actor_kind=e2e_kind),
-            "random": RandomPolicy(),
+    # independent and deterministic, so worker processes run them side by side
+    with _pinned_pool() as pool:
+        futures = {
+            seed: pool.submit(_evaluate_heldout, heldout_suite, trained_runs[("residual", seed)].actor_path,
+                              trained_runs[("end_to_end", seed)].actor_path, seed)
+            for seed in HELDOUT_EVAL_SEEDS
         }
-        per_seed[seed] = evaluate(
-            heldout_suite,
-            policies,
-            n_episodes=HELDOUT_EPISODES,
-            seed_base=seed * 100_000,
-            episode_config=EPISODE,
-            sensor_config=SENSOR,
-            prior_params=PRIOR,
-            oracle=oracle,
-        )
-    return per_seed
+        return {seed: future.result() for seed, future in futures.items()}
 
 
 def _residual_env(world) -> NavEnv:

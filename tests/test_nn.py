@@ -11,7 +11,8 @@ import pytest
 
 from resnav.errors import ConfigurationError, UsageError
 from resnav.nn import Adam, Mlp, load_checkpoint, mc_statistics, polyak_update, save_checkpoint
-from tests.conftest import param_grad
+from resnav.td3 import widened
+from tests.conftest import FLOAT32_AGREEMENT, narrowed, param_grad, relative_error
 
 
 def random_net(rng, sizes=None, output_activation=None, dropout_p=0.0) -> Mlp:
@@ -521,3 +522,52 @@ class TestInit:
             Mlp([4, 2], "sigmoid")
         with pytest.raises(ConfigurationError):
             Mlp([4, 2], "tanh", dropout_p=1.0)
+
+
+class TestDtype:
+    def test_float64_network_keeps_float64_masks(self):
+        rng = np.random.default_rng(85)
+        net = random_net(rng, sizes=[5, 7, 7, 2], dropout_p=0.3)
+        assert net.params.dtype == np.float64
+        y, trace = net.forward_trace(rng.normal(size=(9, 5)).astype(np.float32), rng)
+        assert y.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in (*trace.inputs, *trace.relu_pos, *trace.masks))
+        assert net.backward(trace, np.ones((9, 2), np.float32)).dtype == np.float64
+
+    def test_float32_network_runs_in_float32(self):
+        rng = np.random.default_rng(86)
+        net = narrowed(random_net(rng, sizes=[5, 7, 7, 2], dropout_p=0.3))
+        assert net.params.dtype == np.float32
+        y, trace = net.forward_trace(rng.normal(size=(9, 5)), rng)
+        assert y.dtype == np.float32 and net.forward(np.zeros(5)).dtype == np.float32
+        assert all(a.dtype == np.float32 for a in (*trace.inputs, *trace.relu_pos, *trace.masks))
+        assert net.backward(trace, np.ones((9, 2))).dtype == np.float32
+
+    def test_float32_masks_are_the_float64_masks_narrowed(self):
+        wide = Mlp([5, 7, 7, 2], "tanh", 0.3, rng=np.random.default_rng(87))
+        narrow = narrowed(wide)
+        masks = zip(wide.draw_masks(4, np.random.default_rng(1)), narrow.draw_masks(4, np.random.default_rng(1)))
+        for mask64, mask32 in masks:
+            assert mask32.dtype == np.float32 and np.array_equal(mask32, mask64.astype(np.float32))
+
+
+@pytest.mark.parametrize("sizes, activation, dropout_p", [
+    ([23, 64, 64, 1], "identity", 0.0),  # a critic at desk scale
+    ([21, 64, 64, 2], "tanh", 0.2),  # a residual actor at desk scale, dropout live
+])
+def test_float32_forward_and_backward_agree_with_float64(sizes, activation, dropout_p):
+    rng = np.random.default_rng(88)
+    worst = 0.0
+    for _ in range(20):
+        narrow = narrowed(Mlp(sizes, activation, dropout_p, rng=rng))
+        # every parameter off its initial value, so the biases are not zero
+        narrow.params += rng.normal(0.0, 0.1, narrow.params.size).astype(np.float32)
+        wide = widened(narrow)
+        x = rng.normal(size=(128, sizes[0])).astype(np.float32)
+        upstream = rng.normal(size=(128, sizes[-1])).astype(np.float32)
+        mask_seed = int(rng.integers(2**32))
+        (y32, t32), (y64, t64) = (net.forward_trace(x, np.random.default_rng(mask_seed)) for net in (narrow, wide))
+        results = [(y32, y64), (param_grad(narrow, t32, upstream), param_grad(wide, t64, upstream)),
+                   (narrow.backward(t32, upstream), wide.backward(t64, upstream))]
+        worst = max(worst, *(relative_error(a, b) for a, b in results))
+    assert worst < FLOAT32_AGREEMENT

@@ -30,10 +30,11 @@ from resnav.td3 import (
     greedy_episode,
     read_training_log,
     train,
+    widened,
     write_training_log,
 )
 
-from conftest import make_cluttered_world, make_empty_world, param_grad
+from conftest import FLOAT32_AGREEMENT, make_cluttered_world, make_empty_world, param_grad, relative_error
 
 
 def small_config(**overrides) -> Td3Config:
@@ -247,7 +248,7 @@ class TestActorUpdate:
 
 
 def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
-    """Plain per-critic copies of nets with the TD3 updates written one critic at a time."""
+    """Plain per-critic float32 copies of nets with the TD3 updates written one critic at a time."""
     actor, actor_target = copy.deepcopy(nets.actor), copy.deepcopy(nets.actor_target)
     critics = [copy.deepcopy(c) for c in nets.critics]
     targets = [copy.deepcopy(c) for c in nets.critics_target]
@@ -258,7 +259,7 @@ def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
         obs_action, reward, next_obs, done = batch
         obs, action = obs_action[:, :-2], obs_action[:, -2:]
         b = obs.shape[0]
-        noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, 2))
+        noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, 2)).astype(np.float32)
         np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
         next_action = np.clip(actor_target.forward(next_obs) + noise, -1.0, 1.0)
         target_in = np.concatenate([next_obs, next_action], axis=1)
@@ -295,9 +296,10 @@ class TestTwinCritics:
         actor = Mlp([5, 16, 16, 2], "tanh", config.dropout_p, rng=rng)
         critic1 = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
         critic2 = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
-        assert np.array_equal(nets.actor.params, actor.params)
-        assert np.array_equal(nets.critics[0].params, critic1.params)
-        assert np.array_equal(nets.critics[1].params, critic2.params)
+        assert nets.live.dtype == nets.target.dtype == np.float32
+        assert np.array_equal(nets.actor.params, actor.params.astype(np.float32))
+        assert np.array_equal(nets.critics[0].params, critic1.params.astype(np.float32))
+        assert np.array_equal(nets.critics[1].params, critic2.params.astype(np.float32))
         for target, critic in zip(nets.critics_target, nets.critics):
             assert np.array_equal(target.params, critic.params)
 
@@ -310,6 +312,7 @@ class TestTwinCritics:
             buf.add(rng.normal(size=5), rng.uniform(-1, 1, 2), float(rng.random() < 0.3),
                     rng.normal(size=5), float(rng.random() < 0.2))
         critic_step, actor_step, ref = reference_updates(nets, config, 0.99)
+        assert all(net.params.dtype == np.float32 for net in (ref["actor"], *ref["critics"]))
         for i in range(3):  # later rounds start from targets that differ from the live nets
             batch = buf.sample(np.random.default_rng(i), 16)
             assert critic_update(nets, batch, config, 0.99, np.random.default_rng(10 + i)) == \
@@ -333,6 +336,39 @@ class TestTwinCritics:
         for k in (0, 1):
             assert np.array_equal(loaded.critics[k].params, nets.critics[k].params)
         assert np.array_equal(loaded.actor.params, nets.actor.params)
+
+
+def test_float32_updates_agree_with_float64(monkeypatch):
+    """One critic update and one actor update, each from the same start as a float64 learner."""
+    config = small_config(hidden_sizes=(64, 64), dropout_p=0.2)
+    dim = TRAIN_MODES["residual"]
+    rng = np.random.default_rng(31)
+    buf = ReplayBuffer(256, dim)
+    for _ in range(256):
+        buf.add(rng.normal(size=dim), rng.uniform(-1, 1, 2), float(rng.random() < 0.3),
+                rng.normal(size=dim), float(rng.random() < 0.2))
+    batch = buf.sample(rng, 128)
+    wide_batch = tuple(column.astype(np.float64) for column in batch)
+
+    def learners() -> tuple[Td3Nets, Td3Nets]:
+        narrow = Td3Nets.build(dim, config, np.random.default_rng(32))
+        with monkeypatch.context() as m:
+            m.setattr("resnav.td3.LEARNER_DTYPE", np.float64)
+            wide = Td3Nets.from_networks(*(widened(net) for net in (narrow.actor, *narrow.critics)), config)
+        assert np.array_equal(wide.live, narrow.live)
+        return narrow, wide
+
+    narrow, wide = learners()
+    losses = [critic_update(narrow, batch, config, 0.99, np.random.default_rng(5)),
+              critic_update(wide, wide_batch, config, 0.99, np.random.default_rng(5))]
+    assert relative_error(np.float32(losses[0]), np.float64(losses[1])) < FLOAT32_AGREEMENT
+    assert relative_error(narrow.critics_grad, wide.critics_grad) < FLOAT32_AGREEMENT
+
+    narrow, wide = learners()
+    losses = [actor_update(narrow, batch, config, np.random.default_rng(6)),
+              actor_update(wide, wide_batch, config, np.random.default_rng(6))]
+    assert relative_error(np.float32(losses[0]), np.float64(losses[1])) < FLOAT32_AGREEMENT
+    assert relative_error(narrow.actor_grad, wide.actor_grad) < FLOAT32_AGREEMENT
 
 
 class TestFlatLearner:
@@ -468,6 +504,37 @@ class TestTrain:
                     seed=9, out_dir=out, resume_from=out, oracle=ShortestPathOracle(0.25))
         assert [r.episode for r in res.log] == [5, 6]
 
+    def test_snapshot_reloads_the_float32_learner_that_wrote_it(self, tmp_path, monkeypatch):
+        written = []
+
+        def spy(out_dir, nets, mode, log):
+            written.append((nets.live.copy(), log[-1].episode))
+            _save_snapshot(out_dir, nets, mode, log)
+
+        monkeypatch.setattr("resnav.td3._save_snapshot", spy)
+        out = tmp_path / "run"
+        config = small_config(total_episodes=4, dropout_p=0.2)
+        train([make_empty_world(side=6.0)], "residual", config, episode_config=EpisodeConfig(max_steps=20),
+              seed=9, out_dir=out, oracle=ShortestPathOracle(0.25))
+        live, episode = written[-1]
+        assert episode == 4 and live.dtype == np.float32
+        nets, start, _ = _load_snapshot(out, TRAIN_MODES["residual"], config)
+        assert start == 5
+        assert nets.live.dtype == np.float32 and np.array_equal(nets.live, live)
+        assert np.array_equal(nets.target, live)
+
+    def test_returned_actor_and_checkpoints_are_float64(self, tmp_path):
+        out = tmp_path / "run"
+        res = train([make_empty_world(side=6.0)], "residual", small_config(),
+                    episode_config=EpisodeConfig(max_steps=20), seed=3, out_dir=out, oracle=ShortestPathOracle(0.25))
+        assert res.actor.params.dtype == np.float64
+        # the float32 values, widened: narrowing them back loses nothing
+        assert np.array_equal(res.actor.params.astype(np.float32), res.actor.params)
+        for path in (res.checkpoint_path, out / "snapshot" / "actor.ckpt", out / "snapshot" / "critic1.ckpt"):
+            net, _ = load_checkpoint(path)
+            assert net.params.dtype == np.float64
+        assert np.array_equal(load_checkpoint(res.checkpoint_path)[0].params, res.actor.params)
+
     def test_resume_rejects_mismatched_observation_dim(self, tmp_path):
         world = make_empty_world(side=6.0)
         out = tmp_path / "run"
@@ -583,6 +650,18 @@ class TestConfigValidation:
     def test_non_positive_learning_rate_rejected_by_name(self, name, rate):
         with pytest.raises(ConfigurationError, match=f"{name} must be > 0"):
             Td3Config(**{name: rate})
+
+    @pytest.mark.parametrize("name", ["policy_delay", "batch_size", "buffer_capacity", "warmup_steps",
+                                      "total_episodes", "eval_every", "eval_episodes"])
+    @pytest.mark.parametrize("value", [2.5, 0.5, 2.0, True, False])
+    def test_integer_field_rejects_a_float_or_a_bool_by_name(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+            Td3Config(**{name: value})
+
+    @pytest.mark.parametrize("hidden", [(1.5,), (64, 2.0), (True,), (64, False)])
+    def test_hidden_size_rejects_a_float_or_a_bool_by_name(self, hidden):
+        with pytest.raises(ConfigurationError, match="hidden_sizes must be an integer"):
+            Td3Config(hidden_sizes=hidden)
 
     def test_batch_larger_than_buffer_rejected(self):
         # such a buffer never holds a full batch, so train would make no update
