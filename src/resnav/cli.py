@@ -28,8 +28,9 @@ from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
 _CONTROLLERS = tuple(m.value for m in PolicyMode)
-_M_TRIM_THRESHOLD = -1  # mallopt parameter number, from glibc's malloc.h
-_TRIM_THRESHOLD_BYTES = 64 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_THRESHOLD_BYTES = 64 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,20 +275,23 @@ def main(argv=None) -> int:
 
 
 def keep_freed_heap() -> bool:
-    """Raise glibc's heap-trim threshold to 64 MiB for this process; True if it was set.
+    """Raise glibc's heap-trim and mmap thresholds to 64 MiB for this process; True if both were set.
 
     Each training update frees and reallocates the same arrays. At glibc's
-    default threshold the freed heap top is returned to the system after an
-    update and faulted back in by the next one. Only the console script sets
-    this: it owns its process, and library callers keep their allocator.
-    Elsewhere than glibc it does nothing.
+    default trim threshold the freed heap top is returned to the system
+    after an update and faulted back in by the next one. Setting that
+    threshold also pins the mmap threshold at 128 KiB, so the larger
+    temporaries of a 256-wide network would still be mapped and unmapped on
+    every update. Only the console script sets this: it owns its process, and
+    library callers keep their allocator. Elsewhere than glibc it does nothing.
     """
     if platform.libc_ver()[0] != "glibc":
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+    results = [mallopt(param, _THRESHOLD_BYTES) for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)]
+    return all(r == 1 for r in results)
 
 
 def entry() -> None:

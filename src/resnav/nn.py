@@ -6,11 +6,13 @@ narrows its networks to float32 and trains in that. Dropout is the
 inverted variant (kept activations scaled by 1/(1-p)) and applies to
 hidden activations only, never to the output layer. A deterministic
 forward is requested by passing rng=None, which is exactly equivalent to
-dropout_p=0.
+dropout_p=0. A network can also hold a stack of K networks of one
+architecture, which run side by side in one pass (Mlp).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +51,14 @@ class Mlp:
     network computes in params.dtype: inputs, dropout masks and the traced
     ReLU masks follow it, so a network rebound to float32 params runs in
     float32 throughout.
+
+    A network rebound to a (K, P) params array is a stack of K networks of
+    this architecture: weights[i] is (K, n_in, n_out) and biases[i] is
+    (K, 1, n_out), and the same forward and backward run all K at once
+    through matmul broadcasting, one product per slice, so each slice's
+    bits are those of row(k), the plain network over params[k]. A batch
+    input is shared by the K networks; outputs, upstream gradients and
+    parameter gradients carry the leading K axis. A stack has no dropout.
     """
 
     def __init__(
@@ -58,6 +68,9 @@ class Mlp:
         dropout_p: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
+        for s in layer_sizes:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ConfigurationError(f"layer size {s!r} is not an integer")
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigurationError(f"invalid layer sizes {sizes}")
@@ -79,21 +92,33 @@ class Mlp:
                 w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), w.shape)
 
     def _layers(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) views into a vector laid out like params."""
+        """Per-layer (weight, bias) views into an array laid out like params."""
+        stack = flat.shape[:-1]
         views = []
         offset = 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = flat[offset:offset + n_in * n_out].reshape(n_in, n_out)
+            w = flat[..., offset:offset + n_in * n_out].reshape(*stack, n_in, n_out)
             offset += n_in * n_out
-            views.append((w, flat[offset:offset + n_out]))
+            b = flat[..., offset:offset + n_out]
+            views.append((w, b[:, None] if stack else b))
             offset += n_out
         return views
 
     def _bind(self, params: np.ndarray) -> None:
+        if params.ndim == 2 and self.dropout_p > 0.0:
+            raise ConfigurationError(f"a stack of networks has no dropout, got dropout_p={self.dropout_p}")
         self.params = params
         layers = self._layers(params)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
+
+    def row(self, k: int) -> Mlp:
+        """The plain network of slice k of a stack: a view of params[k]."""
+        if self.params.ndim != 2:
+            raise UsageError("row() needs a stack of networks")
+        net = copy.copy(self)
+        net._bind(self.params[k])
+        return net
 
     @property
     def n_layers(self) -> int:
@@ -129,7 +154,7 @@ class Mlp:
         """Forward pass; stochastic when rng is given and dropout_p > 0."""
         x2, squeeze = self._as_batch(x)
         y = self._run(x2, self.draw_masks(x2.shape[0], rng), trace=None)
-        return y[0] if squeeze else y
+        return y[..., 0, :] if squeeze else y
 
     def forward_trace(
         self, x: np.ndarray, rng: np.random.Generator | None = None
@@ -178,9 +203,9 @@ class Mlp:
     ) -> np.ndarray | None:
         """Exact reverse-mode gradients for the traced forward pass.
 
-        upstream is dLoss/dOutput, shape (batch, out). The parameter
-        gradients, laid out like params, are written into out when it is
-        given and skipped otherwise. Returns dLoss/dInput, or None when
+        upstream is dLoss/dOutput, shaped like the traced output. The
+        parameter gradients, laid out like params, are written into out when
+        it is given and skipped otherwise. Returns dLoss/dInput, or None when
         input_grad is False, which skips the first layer's input product.
         Gradients are summed over the batch; put any 1/batch factor into
         upstream.
@@ -198,11 +223,14 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             if layers is not None:
                 dw, db = layers[i]
-                np.matmul(trace.inputs[i].T, delta, out=dw)
-                np.add.reduce(delta, 0, out=db)
+                np.matmul(trace.inputs[i].swapaxes(-1, -2), delta, out=dw)
+                np.add.reduce(delta, -2, out=db, keepdims=db.ndim > 1)
             if i == 0 and not input_grad:
                 return None
-            delta = delta @ self.weights[i].T
+            w_t = self.weights[i].swapaxes(-1, -2)
+            # one output column: each entry is one product, so broadcasting equals
+            # the k = 1 matmul bit for bit and skips its call overhead
+            delta = delta * w_t if self.layer_sizes[i + 1] == 1 else delta @ w_t
             if i > 0:
                 if trace.masks is not None:
                     delta *= trace.masks[i - 1]

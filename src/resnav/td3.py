@@ -143,29 +143,30 @@ def bootstrap_mask(terminal: Terminal | None) -> float:
 
 @dataclass
 class Td3Nets:
-    """Actor and twin critics (Q1 is critics[0], Q2 critics[1]), their targets and optimisers.
+    """Actor and twin critics, their targets and optimisers.
 
     The learner is two float32 vectors laid out [actor | critic 1 | critic 2]:
     live holds the trained parameters and target their Polyak averages, and
     every network here is a view of its slice, so it computes in float32.
-    The gradients are written into slices of one scratch vector with the
-    same layout, and the Adam moments follow its dtype. The critics always step
-    together, so one Adam covers their joint slice (critics_live, with
-    gradient critics_grad); Adam and Polyak are elementwise, so the joint
-    steps equal one step per network.
+    The twin critics are one stack of two networks (Mlp) over the (2, P)
+    reshape of their joint slice: Q1 is critics.row(0) and Q2 critics.row(1),
+    and one forward or backward runs both. The gradients are written into
+    one scratch vector with the same layout (actor_grad, and critics_grad
+    shaped like critics.params), and the Adam moments follow its dtype. The
+    critics always step together, so one Adam covers their joint slice;
+    Adam and Polyak are elementwise, so the joint steps equal one step per
+    network.
     """
 
     live: np.ndarray
     target: np.ndarray
     actor: Mlp
     actor_target: Mlp
-    critics: tuple[Mlp, Mlp]
-    critics_target: tuple[Mlp, Mlp]
+    critics: Mlp
+    critics_target: Mlp
     adam_actor: Adam
     adam_critics: Adam
     actor_grad: np.ndarray
-    critic_grads: tuple[np.ndarray, np.ndarray]
-    critics_live: np.ndarray
     critics_grad: np.ndarray
 
     @staticmethod
@@ -185,62 +186,64 @@ class Td3Nets:
     @classmethod
     def from_networks(cls, actor: Mlp, critic1: Mlp, critic2: Mlp, config: Td3Config) -> Td3Nets:
         """Copies of the networks narrowed to float32 as live, targets equal to them, fresh optimiser state."""
-        nets = (actor, critic1, critic2)
-        live = np.concatenate([net.params for net in nets], dtype=LEARNER_DTYPE)
+        arch = [(c.layer_sizes, c.output_activation, c.dropout_p) for c in (critic1, critic2)]
+        if arch[0] != arch[1]:
+            raise ConfigurationError(f"the twin critics differ in architecture: {arch[0]} and {arch[1]}")
+        live = np.concatenate([net.params for net in (actor, critic1, critic2)], dtype=LEARNER_DTYPE)
         target = live.copy()
         grad = np.empty_like(live)
-        ends = np.cumsum([net.params.size for net in nets])[:-1]
+        n = actor.params.size
 
-        def views(flat: np.ndarray) -> list[Mlp]:
-            out = [copy.copy(net) for net in nets]
-            for view, part in zip(out, np.split(flat, ends)):
-                view._bind(part)
+        def view(net: Mlp, params: np.ndarray) -> Mlp:
+            out = copy.copy(net)
+            out._bind(params)
             return out
 
-        (a, c1, c2), (a_target, c1_target, c2_target) = views(live), views(target)
-        actor_grad, *critic_grads = np.split(grad, ends)
-        n = ends[0]
+        critics, critics_target = (view(critic1, flat[n:].reshape(2, -1)) for flat in (live, target))
         return cls(
             live=live,
             target=target,
-            actor=a,
-            actor_target=a_target,
-            critics=(c1, c2),
-            critics_target=(c1_target, c2_target),
-            adam_actor=Adam(a.params, config.actor_lr),
-            adam_critics=Adam(live[n:], config.critic_lr),
-            actor_grad=actor_grad,
-            critic_grads=tuple(critic_grads),
-            critics_live=live[n:],
-            critics_grad=grad[n:],
+            actor=view(actor, live[:n]),
+            actor_target=view(actor, target[:n]),
+            critics=critics,
+            critics_target=critics_target,
+            adam_actor=Adam(live[:n], config.actor_lr),
+            adam_critics=Adam(critics.params, config.critic_lr),
+            actor_grad=grad[:n],
+            critics_grad=grad[n:].reshape(2, -1),
         )
+
+
+def _clamp(x: np.ndarray, bound: float) -> np.ndarray:
+    """x clipped to [-bound, bound] in place (np.clip's values, without its wrapper)."""
+    return np.minimum(np.maximum(x, -bound, out=x), bound, out=x)
 
 
 def critic_update(nets: Td3Nets, batch, config: Td3Config, gamma: float, rng: np.random.Generator) -> float:
     """One clipped-double-Q regression step on both critics with discount gamma; returns mean loss.
 
     batch is (obs_action, reward, next_obs, done), as ReplayBuffer.sample returns it.
+    Both critics run in one pass of their stack: one target forward, one
+    traced forward and one backward, with a leading critic axis throughout.
     """
     obs_action, reward, next_obs, done = batch
     b = obs_action.shape[0]
     noise = rng.normal(0.0, config.smoothing_noise_sigma, (b, ACTION_DIM)).astype(LEARNER_DTYPE)
-    np.clip(noise, -config.smoothing_noise_clip, config.smoothing_noise_clip, out=noise)
+    _clamp(noise, config.smoothing_noise_clip)
     next_action = nets.actor_target.forward(next_obs)
     next_action += noise
-    np.clip(next_action, -1.0, 1.0, out=next_action)
+    _clamp(next_action, 1.0)
     target_in = np.concatenate([next_obs, next_action], axis=1)
-    q_next = np.minimum(*(target.forward(target_in)[:, 0] for target in nets.critics_target))
-    y = reward + gamma * (1.0 - done) * q_next
+    q_next = nets.critics_target.forward(target_in)[..., 0]
+    y = reward + gamma * (1.0 - done) * np.minimum(q_next[0], q_next[1])
 
-    total = 0.0
-    for critic, grad in zip(nets.critics, nets.critic_grads):
-        q, trace = critic.forward_trace(obs_action)
-        err = q[:, 0] - y
-        critic.backward(trace, (2.0 / b) * err[:, None], input_grad=False, out=grad)
-        err *= err
-        total += float(np.add.reduce(err) / b)
-    nets.adam_critics.step(nets.critics_live, nets.critics_grad)
-    return total / 2.0
+    q, trace = nets.critics.forward_trace(obs_action)
+    err = q[..., 0] - y
+    nets.critics.backward(trace, (2.0 / b) * err[..., None], input_grad=False, out=nets.critics_grad)
+    nets.adam_critics.step(nets.critics.params, nets.critics_grad)
+    err *= err
+    losses = np.add.reduce(err, -1) / b  # one mean per critic, each summed over its own row
+    return (float(losses[0]) + float(losses[1])) / 2.0
 
 
 def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generator) -> float:
@@ -253,7 +256,7 @@ def actor_update(nets: Td3Nets, batch, config: Td3Config, rng: np.random.Generat
     obs = batch[0][:, :-ACTION_DIM]
     b = obs.shape[0]
     action, actor_trace = nets.actor.forward_trace(obs, rng=rng)
-    q1 = nets.critics[0]
+    q1 = nets.critics.row(0)
     q, q_trace = q1.forward_trace(np.concatenate([obs, action], axis=1))
     # loss = -mean(Q1); gradients flow through the action slice only
     d_input = q1.backward(q_trace, np.full((b, 1), -1.0 / b))
@@ -381,7 +384,7 @@ def train(
                 policy_action = rng_explore.uniform(-1.0, 1.0, ACTION_DIM)
             else:
                 noise = rng_explore.normal(0.0, config.exploration_noise_sigma, ACTION_DIM)
-                policy_action = np.clip(nets.actor.forward(obs) + noise, -1.0, 1.0)
+                policy_action = _clamp(nets.actor.forward(obs) + noise, 1.0)
             if mode == "residual":
                 executed = compose_hybrid(prior_of(obs), policy_action)
             else:
@@ -432,8 +435,8 @@ def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRo
     snap = out_dir / "snapshot"
     snap.mkdir(exist_ok=True)
     save_checkpoint(nets.actor, mode, snap / "actor.ckpt")
-    for k, critic in enumerate(nets.critics, start=1):
-        save_checkpoint(critic, mode, snap / f"critic{k}.ckpt")
+    for k in (0, 1):
+        save_checkpoint(nets.critics.row(k), mode, snap / f"critic{k + 1}.ckpt")
     write_training_log(log, snap / "train_log.csv")
     write_atomically(snap / "state.json", json.dumps({"episode": log[-1].episode, "mode": mode}) + "\n")
 

@@ -271,17 +271,19 @@ class TestAllocatorSetting:
         monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
         assert cli.keep_freed_heap() is False
 
-    def test_sets_the_trim_threshold_on_glibc(self, monkeypatch):
+    @pytest.mark.parametrize("fails", [None, -1, -3], ids=["both-set", "trim-refused", "mmap-refused"])
+    def test_sets_the_trim_and_mmap_thresholds_on_glibc(self, monkeypatch, fails):
         calls = []
 
         def mallopt(param, value):
             calls.append((param, value))
-            return 1
+            return 0 if param == fails else 1
 
         monkeypatch.setattr(cli.platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        assert cli.keep_freed_heap() is True
-        assert calls == [(-1, 64 * 1024 * 1024)]  # M_TRIM_THRESHOLD, 64 MiB
+        assert cli.keep_freed_heap() is (fails is None)
+        # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, 64 MiB each, both tried even when one is refused
+        assert calls == [(-1, 64 * 1024 * 1024), (-3, 64 * 1024 * 1024)]
 
     def test_main_leaves_the_allocator_alone(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "keep_freed_heap", lambda: pytest.fail("main() set the allocator"))

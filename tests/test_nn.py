@@ -453,6 +453,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError, match="blob"):
             load_checkpoint(p)
 
+    def test_non_integer_layer_size_in_header_rejected(self, tmp_path):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(Mlp([4, 3, 2], "tanh", rng=np.random.default_rng(1)), "residual", p)
+        raw = p.read_bytes()
+        # the blob still fits [4, 3, 2], which a truncating load would build
+        p.write_bytes(raw.replace(b'"layer_sizes": [4, 3, 2]', b'"layer_sizes": [4, 3.7, 2]', 1))
+        with pytest.raises(ConfigurationError, match="layer size 3.7 is not an integer"):
+            load_checkpoint(p)
+
 
 class TestCopies:
     @pytest.mark.parametrize("clone", [
@@ -469,6 +478,62 @@ class TestCopies:
         dup.params[:] = 0.0  # as an Adam step, a Polyak update or a load would write
         assert np.array_equal(dup.forward(x), np.zeros(2))
         assert np.array_equal(net.forward(x), want)
+
+
+def stack_of(*nets: Mlp) -> Mlp:
+    """The networks as one stack over a fresh (K, P) params array, bound as Td3Nets binds its critics."""
+    stack = copy.copy(nets[0])
+    stack._bind(np.stack([net.params for net in nets]))
+    return stack
+
+
+class TestStack:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes, batch", [
+        ([23, 64, 64, 1], 128),  # a critic at desk scale
+        ([23, 16, 16, 1], 8),  # the tests' small critics
+        ([23, 32, 1], 16),  # one hidden layer
+    ])
+    def test_each_slice_is_bit_equal_to_its_row(self, sizes, batch, dtype):
+        rng = np.random.default_rng(90)
+        stack = stack_of(*(random_net(rng, sizes, "identity") for _ in range(2)))
+        stack._bind(stack.params.astype(dtype))
+        # a column slice of wider rows, as the replay buffer hands the critics their input
+        x = rng.normal(size=(batch, sizes[0] + 5)).astype(dtype)[:, :sizes[0]]
+        upstream = rng.normal(size=(2, batch, 1)).astype(dtype)
+        y, trace = stack.forward_trace(x)
+        grad = param_grad(stack, trace, upstream)
+        d_input = stack.backward(trace, upstream)
+        assert y.shape == (2, batch, 1) and grad.shape == stack.params.shape and d_input.shape == (2, *x.shape)
+        for k in (0, 1):
+            row = stack.row(k)
+            y_k, trace_k = row.forward_trace(x)
+            assert row.forward(x).tobytes() == y_k.tobytes() == y[k].tobytes() == stack.forward(x)[k].tobytes()
+            assert param_grad(row, trace_k, upstream[k]).tobytes() == grad[k].tobytes()
+            assert row.backward(trace_k, upstream[k]).tobytes() == d_input[k].tobytes()
+
+    def test_a_single_input_gives_one_output_per_network(self):
+        rng = np.random.default_rng(91)
+        stack = stack_of(*(random_net(rng, [4, 6, 3], "tanh") for _ in range(2)))
+        x = rng.normal(size=4)
+        assert np.array_equal(stack.forward(x), np.stack([stack.row(k).forward(x) for k in (0, 1)]))
+
+    def test_row_is_a_view_of_the_stack(self):
+        stack = stack_of(*(Mlp([3, 4, 1], "identity", rng=np.random.default_rng(k)) for k in (1, 2)))
+        row = stack.row(1)
+        assert np.shares_memory(row.params, stack.params) and row.params.ndim == 1
+        stack.params[1] = 0.5
+        assert np.all(row.params == 0.5) and np.all(row.biases[-1] == 0.5)
+        assert np.all(stack.row(0).params != 0.5)
+
+    def test_a_stack_has_no_dropout(self):
+        net = Mlp([3, 4, 1], "identity", 0.2, rng=np.random.default_rng(3))
+        with pytest.raises(ConfigurationError, match="no dropout"):
+            stack_of(net, net)
+
+    def test_a_plain_network_has_no_rows(self):
+        with pytest.raises(UsageError):
+            Mlp([3, 4, 1], "identity").row(0)
 
 
 class TestPolyak:
@@ -522,6 +587,12 @@ class TestInit:
             Mlp([4, 2], "sigmoid")
         with pytest.raises(ConfigurationError):
             Mlp([4, 2], "tanh", dropout_p=1.0)
+
+    @pytest.mark.parametrize("size", [1.5, True], ids=["float", "bool"])
+    def test_layer_size_must_be_an_integer(self, size):
+        # int() would truncate either one to a width of 1
+        with pytest.raises(ConfigurationError, match=f"layer size {size!r} is not an integer"):
+            Mlp([3, size, 2], "tanh")
 
 
 class TestDtype:

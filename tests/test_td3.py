@@ -141,8 +141,8 @@ class TestCriticUpdate:
     def test_terminal_target_is_reward_only(self):
         config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
-        nets.critics_target[0].biases[-1][:] = 5.0
-        nets.critics_target[1].biases[-1][:] = 5.0
+        nets.critics_target.row(0).biases[-1][:] = 5.0
+        nets.critics_target.row(1).biases[-1][:] = 5.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.7, np.ones(3), done=1.0)
         loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
         assert loss == pytest.approx(0.7**2, abs=1e-12)
@@ -150,8 +150,8 @@ class TestCriticUpdate:
     def test_bootstrap_uses_the_smaller_twin(self):
         config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
-        nets.critics_target[0].biases[-1][:] = 2.0
-        nets.critics_target[1].biases[-1][:] = -3.0
+        nets.critics_target.row(0).biases[-1][:] = 2.0
+        nets.critics_target.row(1).biases[-1][:] = -3.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.5, np.ones(3), done=0.0)
         y = 0.5 + 0.9 * (-3.0)
         loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
@@ -160,8 +160,8 @@ class TestCriticUpdate:
     def test_timeout_transition_keeps_bootstrap(self):
         config = small_config(smoothing_noise_sigma=0.0)
         nets = zeroed_nets(3, config)
-        nets.critics_target[0].biases[-1][:] = 4.0
-        nets.critics_target[1].biases[-1][:] = 4.0
+        nets.critics_target.row(0).biases[-1][:] = 4.0
+        nets.critics_target.row(1).biases[-1][:] = 4.0
         batch = one_sample_batch(np.zeros(3), np.zeros(2), 0.0, np.ones(3), done=0.0)
         loss = critic_update(nets, batch, config, 0.9, np.random.default_rng(0))
         assert loss == pytest.approx((0.9 * 4.0) ** 2, abs=1e-12)
@@ -175,7 +175,7 @@ class TestCriticUpdate:
         batch = one_sample_batch(obs, action, 1.0, rng.uniform(-1.0, 1.0, 6), done=1.0)
         for _ in range(500):
             critic_update(nets, batch, config, 0.99, rng)
-        q = nets.critics[0].forward(np.concatenate([obs, action]))
+        q = nets.critics.row(0).forward(np.concatenate([obs, action]))
         assert q[0] == pytest.approx(1.0, abs=0.05)
 
 
@@ -223,8 +223,8 @@ class TestActorUpdate:
         nets = Td3Nets.build(3, config, rng)
         pairs = {
             "actor": (nets.actor_target, nets.actor),
-            "c1": (nets.critics_target[0], nets.critics[0]),
-            "c2": (nets.critics_target[1], nets.critics[1]),
+            "c1": (nets.critics_target.row(0), nets.critics.row(0)),
+            "c2": (nets.critics_target.row(1), nets.critics.row(1)),
         }
         old = {name: target.params.copy() for name, (target, _) in pairs.items()}
         batch = (rng.normal(size=(4, 5)), None, None, None)
@@ -250,8 +250,8 @@ class TestActorUpdate:
 def reference_updates(nets: Td3Nets, config: Td3Config, gamma: float):
     """Plain per-critic float32 copies of nets with the TD3 updates written one critic at a time."""
     actor, actor_target = copy.deepcopy(nets.actor), copy.deepcopy(nets.actor_target)
-    critics = [copy.deepcopy(c) for c in nets.critics]
-    targets = [copy.deepcopy(c) for c in nets.critics_target]
+    critics = [copy.deepcopy(nets.critics.row(k)) for k in (0, 1)]
+    targets = [copy.deepcopy(nets.critics_target.row(k)) for k in (0, 1)]
     adam_actor = Adam(actor.params, config.actor_lr)
     adam_critics = [Adam(c.params, config.critic_lr) for c in critics]
 
@@ -298,10 +298,9 @@ class TestTwinCritics:
         critic2 = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
         assert nets.live.dtype == nets.target.dtype == np.float32
         assert np.array_equal(nets.actor.params, actor.params.astype(np.float32))
-        assert np.array_equal(nets.critics[0].params, critic1.params.astype(np.float32))
-        assert np.array_equal(nets.critics[1].params, critic2.params.astype(np.float32))
-        for target, critic in zip(nets.critics_target, nets.critics):
-            assert np.array_equal(target.params, critic.params)
+        assert np.array_equal(nets.critics.row(0).params, critic1.params.astype(np.float32))
+        assert np.array_equal(nets.critics.row(1).params, critic2.params.astype(np.float32))
+        assert np.array_equal(nets.critics_target.params, nets.critics.params)
 
     def test_updates_equal_a_per_critic_reference(self):
         config = small_config(hidden_sizes=(16, 16), dropout_p=0.2, tau=0.05)
@@ -322,8 +321,17 @@ class TestTwinCritics:
         assert np.array_equal(nets.actor.params, ref["actor"].params)
         assert np.array_equal(nets.actor_target.params, ref["actor_target"].params)
         for k in (0, 1):
-            assert np.array_equal(nets.critics[k].params, ref["critics"][k].params)
-            assert np.array_equal(nets.critics_target[k].params, ref["targets"][k].params)
+            assert np.array_equal(nets.critics.row(k).params, ref["critics"][k].params)
+            assert np.array_equal(nets.critics_target.row(k).params, ref["targets"][k].params)
+
+    @pytest.mark.parametrize("sizes, dropout_p", [([7, 16, 1], 0.0), ([7, 16, 16, 1], 0.2)],
+                             ids=["other-sizes", "dropout"])
+    def test_critics_of_another_architecture_rejected(self, sizes, dropout_p):
+        rng = np.random.default_rng(8)
+        actor = Mlp([5, 16, 16, 2], "tanh", 0.2, rng=rng)
+        critic = Mlp([7, 16, 16, 1], "identity", 0.0, rng=rng)
+        with pytest.raises(ConfigurationError, match="twin critics differ"):
+            Td3Nets.from_networks(actor, critic, Mlp(sizes, "identity", dropout_p, rng=rng), small_config())
 
     def test_snapshot_round_trips_both_critics(self, tmp_path):
         config = small_config()
@@ -331,10 +339,9 @@ class TestTwinCritics:
         _save_snapshot(tmp_path, nets, "residual", [TrainLogRow(1, 5, 0.5, 0, 0.0)])
         for k in (0, 1):
             critic, _ = load_checkpoint(tmp_path / "snapshot" / f"critic{k + 1}.ckpt")
-            assert np.array_equal(critic.params, nets.critics[k].params)
+            assert np.array_equal(critic.params, nets.critics.row(k).params)
         loaded, _, _ = _load_snapshot(tmp_path, TRAIN_MODES["residual"], config)
-        for k in (0, 1):
-            assert np.array_equal(loaded.critics[k].params, nets.critics[k].params)
+        assert np.array_equal(loaded.critics.params, nets.critics.params)
         assert np.array_equal(loaded.actor.params, nets.actor.params)
 
 
@@ -354,7 +361,8 @@ def test_float32_updates_agree_with_float64(monkeypatch):
         narrow = Td3Nets.build(dim, config, np.random.default_rng(32))
         with monkeypatch.context() as m:
             m.setattr("resnav.td3.LEARNER_DTYPE", np.float64)
-            wide = Td3Nets.from_networks(*(widened(net) for net in (narrow.actor, *narrow.critics)), config)
+            wide = Td3Nets.from_networks(*(widened(net) for net in (narrow.actor, narrow.critics.row(0),
+                                                                     narrow.critics.row(1))), config)
         assert np.array_equal(wide.live, narrow.live)
         return narrow, wide
 
@@ -374,8 +382,9 @@ def test_float32_updates_agree_with_float64(monkeypatch):
 class TestFlatLearner:
     def test_networks_are_views_of_two_vectors(self):
         nets = Td3Nets.build(5, small_config(), np.random.default_rng(4))
-        for flat, nets_on_it in ((nets.live, (nets.actor, *nets.critics)),
-                                 (nets.target, (nets.actor_target, *nets.critics_target))):
+        for flat, nets_on_it in ((nets.live, (nets.actor, nets.critics.row(0), nets.critics.row(1))),
+                                 (nets.target, (nets.actor_target, nets.critics_target.row(0),
+                                                nets.critics_target.row(1)))):
             assert np.array_equal(flat, np.concatenate([net.params for net in nets_on_it]))
             for net in nets_on_it:
                 assert net.params.base is flat
@@ -393,24 +402,24 @@ class TestFlatLearner:
         n = nets.actor.params.size
         assert nets.adam_critics.t == 1 and nets.adam_actor.t == 0
         assert np.array_equal(nets.live[:n], before["live"][:n])
-        for k, critic in enumerate(nets.critics):
+        for k in (0, 1):
+            critic = nets.critics.row(k)
             lo = n + k * critic.params.size
             assert not np.array_equal(critic.params, before["live"][lo:lo + critic.params.size])
         assert np.array_equal(nets.target, before["target"])
 
     def test_gradient_and_critic_slices_follow_the_layout(self):
         nets = Td3Nets.build(5, small_config(), np.random.default_rng(4))
-        networks = (nets.actor, *nets.critics)
-        for k, part in enumerate((nets.actor_grad, *nets.critic_grads)):
+        networks = (nets.actor, nets.critics.row(0), nets.critics.row(1))
+        for k, part in enumerate((nets.actor_grad, *nets.critics_grad)):
             part[...] = k
         # the three gradient slices tile one vector laid out like live
         want = np.concatenate([np.full(net.params.size, float(k)) for k, net in enumerate(networks)])
         n = nets.actor.params.size
-        assert np.array_equal(np.concatenate([nets.actor_grad, nets.critics_grad]), want)
-        for k, part in enumerate(nets.critic_grads):
-            assert np.shares_memory(part, nets.critics_grad)
-        assert np.shares_memory(nets.critics_live, nets.live[n:])
-        assert np.array_equal(nets.critics_live, np.concatenate([c.params for c in nets.critics]))
+        assert np.array_equal(np.concatenate([nets.actor_grad, nets.critics_grad.ravel()]), want)
+        assert nets.critics_grad.shape == nets.critics.params.shape == (2, networks[1].params.size)
+        assert np.shares_memory(nets.critics.params, nets.live[n:])
+        assert np.array_equal(nets.critics.params.ravel(), np.concatenate([c.params for c in networks[1:]]))
 
     @pytest.mark.parametrize("mode", ["residual", "end_to_end"])
     @pytest.mark.parametrize("hidden, batch", [((8, 8), 8), ((64, 64), 128), ((256, 256), 256)])
@@ -452,7 +461,7 @@ class TestFlatLearner:
     ], ids=["pickle", "deepcopy"])
     def test_copies_of_a_bound_network_do_not_alias_the_learner(self, clone):
         nets = Td3Nets.build(5, small_config(), np.random.default_rng(6))
-        for net in (nets.actor, nets.critics[1], nets.critics_target[0]):
+        for net in (nets.actor, nets.critics, nets.critics.row(1), nets.critics_target.row(0)):
             dup = clone(net)
             assert np.array_equal(dup.params, net.params)
             assert not np.shares_memory(dup.params, nets.live)
