@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import platform
 import sys
 from pathlib import Path
@@ -149,8 +150,9 @@ def cmd_gen_worlds(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    mode = args.mode or config.mode
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    if args.seed is not None:  # checked by the config's own seed rule
+        config = dataclasses.replace(config, seeds=(args.seed,))
+    mode, seed = args.mode or config.mode, config.seeds[0]
     out = Path(args.out) if args.out else _run_dir(config, mode, seed)
     worlds = _pick_suite(config, "train")
     result = train(

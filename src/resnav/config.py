@@ -6,6 +6,12 @@ reproducible from the file alone. Sections may be omitted (defaults
 apply) but unknown keys are rejected everywhere. The discount factor
 lives only in the episode section and the SPL planner's cell only in the
 evaluation section; the trainer inherits both from there.
+
+Every section, and the file's top level, is one validation table: each
+field takes its type from its default and states its bounds on itself
+(errors.bounded), errors.check_fields checks them all, and a section's
+errors are prefixed with its name. Only rules that span fields are
+written by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, bounded, check_fields, require
 from .fileio import read_json, write_atomically
 from .prior import PriorParams
 from .td3 import TRAIN_MODES, Td3Config
@@ -28,43 +34,31 @@ EXP_FORMAT = "exp/1"
 class WorldsConfig:
     train_dir: str = "worlds/train"
     heldout_dir: str = "worlds/heldout"
-    n_train: int = 10
-    n_heldout: int = 5
-    seed_train: int = 1000
-    seed_heldout: int = 2000
+    n_train: int = bounded(10, ge=1)
+    n_heldout: int = bounded(5, ge=1)
+    seed_train: int = bounded(1000, ge=0)
+    seed_heldout: int = bounded(2000, ge=0)
 
     def __post_init__(self) -> None:
-        if not self.train_dir or not self.heldout_dir:
-            raise ConfigurationError("world directories must be non-empty paths")
-        if self.train_dir == self.heldout_dir:
-            raise ConfigurationError("train and heldout suites need distinct directories")
-        if self.n_train < 1 or self.n_heldout < 1:
-            raise ConfigurationError("suite sizes must be >= 1")
+        check_fields(self)
+        require(self.train_dir != self.heldout_dir, "train_dir and heldout_dir must be distinct directories")
 
 
 @dataclass(frozen=True)
 class EvaluationConfig:
-    n_episodes: int = 100
-    n_passes: int = 100
-    grid_cell: float = 0.05
-    seed_base: int = 0
+    n_episodes: int = bounded(100, ge=1)
+    n_passes: int = bounded(100, ge=2)
+    grid_cell: float = bounded(0.05, gt=0.0)
+    seed_base: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.n_episodes < 1:
-            raise ConfigurationError("evaluation n_episodes must be >= 1")
-        if self.n_passes < 2:
-            raise ConfigurationError("evaluation n_passes must be >= 2")
-        if self.grid_cell <= 0:
-            raise ConfigurationError("evaluation grid_cell must be positive")
-        if self.seed_base < 0:
-            raise ConfigurationError("evaluation seed_base must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "residual"
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = bounded((0, 1, 2, 3, 4), ge=0)
     out_dir: str = "runs/default"
     worlds: WorldsConfig = field(default_factory=WorldsConfig)
     worldgen: WorldGenParams = field(default_factory=WorldGenParams)
@@ -75,15 +69,9 @@ class ExperimentConfig:
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.mode not in TRAIN_MODES:
-            raise ConfigurationError(f"mode must be one of {tuple(TRAIN_MODES)}, got {self.mode!r}")
-        if not self.seeds:
-            raise ConfigurationError("seeds must be a non-empty list")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("seeds must be distinct")
-        if not self.out_dir:
-            raise ConfigurationError("out_dir must be a non-empty path")
+        check_fields(self)
+        require(self.mode in TRAIN_MODES, f"mode must be one of {tuple(TRAIN_MODES)}, got {self.mode!r}")
+        require(len(set(self.seeds)) == len(self.seeds), f"seeds must be distinct, got {list(self.seeds)}")
 
 
 _SECTIONS = {
@@ -110,13 +98,11 @@ def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
 
 
 def _build(name: str, cls, data: dict) -> object:
-    """cls(**data), with a mistyped value reported as a ConfigurationError naming the section."""
+    """cls(**data), with any ConfigurationError prefixed by the section name."""
     try:
         return cls(**data)
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name}: bad value: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 def _build_section(name: str, cls, data) -> object:
@@ -136,12 +122,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError(f"unsupported config format {data.get('format')!r}")
     _check_keys("config", data, _TOP_KEYS)
     sections = {name: _build_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()}
-    return _build("config", ExperimentConfig, {
-        "mode": data.get("mode", "residual"),
-        "seeds": data.get("seeds", (0, 1, 2, 3, 4)),
-        "out_dir": data.get("out_dir", "runs/default"),
-        **sections,
-    })
+    top = {key: data[key] for key in ("mode", "seeds", "out_dir") if key in data}
+    return _build("config", ExperimentConfig, {**top, **sections})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

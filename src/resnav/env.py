@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, check_finite
+from .errors import ConfigurationError, UsageError, bounded, check_fields, require
 from .prior import Action, PriorParams, prior_command
 from .world import (
     Pose,
@@ -52,36 +52,23 @@ class Terminal(Enum):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    d_threshold: float = 0.2  # m, success iff distance to goal < this
-    max_steps: int = 300
-    gamma: float = 0.99
-    dt: float = 0.1  # s
+    d_threshold: float = bounded(0.2, gt=0.0)  # m, success iff distance to goal < this
+    max_steps: int = bounded(300, ge=1)
+    gamma: float = bounded(0.99, gt=0.0, lt=1.0)
+    dt: float = bounded(0.1, gt=0.0)  # s
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.d_threshold <= 0.0:
-            raise ConfigurationError(f"d_threshold must be positive, got {self.d_threshold}")
-        if self.max_steps < 1:
-            raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigurationError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class SensorConfig:
-    n_rays: int = 180
-    max_range: float = 5.0  # m
+    n_rays: int = bounded(180, ge=N_BINS)
+    max_range: float = bounded(5.0, gt=0.0)  # m
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.n_rays < N_BINS or self.n_rays % N_BINS != 0:
-            raise ConfigurationError(
-                f"n_rays must be >= {N_BINS} and divisible by {N_BINS}, got {self.n_rays}"
-            )
-        if self.max_range <= 0.0:
-            raise ConfigurationError(f"max_range must be positive, got {self.max_range}")
+        check_fields(self)
+        require(self.n_rays % N_BINS == 0, f"n_rays must be divisible by {N_BINS}, got {self.n_rays}")
 
 
 @dataclass

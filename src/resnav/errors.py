@@ -1,7 +1,16 @@
-"""Exception types shared across the package, and the finiteness check of every config."""
+"""Exception types shared across the package, and the one field check of every config.
 
-import math
-from dataclasses import fields
+A config dataclass states each field's type by its default and its bounds
+on the field itself (bounded). Its __post_init__ calls check_fields first,
+then states each rule that spans fields in one require line.
+"""
+
+import operator
+import sys
+from dataclasses import MISSING, field, fields
+
+# bound key -> (test, symbol in the error message)
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
 class ConfigurationError(ValueError):
@@ -20,9 +29,51 @@ class TrainingDiverged(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def check_finite(config) -> None:
-    """Reject a non-finite float in any field of a config dataclass, naming the field."""
+def bounded(default, **bounds):
+    """A config field with this default whose numbers must meet bounds: any of gt, ge, lt, le."""
+    return field(default=default, metadata=bounds)
+
+
+def require(holds: bool, message: str) -> None:
+    """Raise a ConfigurationError with message unless holds: one line per rule that spans fields."""
+    if not holds:
+        raise ConfigurationError(message)
+
+
+def check_fields(config) -> None:
+    """Check each field of a config dataclass against its default's type and its bounds, naming the field.
+
+    A bool is never a number, a float field also takes an int (kept as given),
+    a str must be non-empty, a tuple field takes a non-empty list or tuple of
+    its default's item type (stored as a tuple, each item checked), and a
+    section (a field with a default factory) an instance of that factory.
+    """
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        name, value = f.name, getattr(config, f.name)
+        if f.default is MISSING:
+            if not isinstance(value, f.default_factory):
+                raise ConfigurationError(f"{name} must be a {f.default_factory.__name__}, got {value!r}")
+            continue
+        items, kind = (value,), type(f.default)
+        if kind is tuple:
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigurationError(f"{name} must be a non-empty list, got {value!r}")
+            items, kind = tuple(value), type(f.default[0])
+            object.__setattr__(config, name, items)
+        for item in items:
+            _check_item(name, item, kind, f.metadata)
+
+
+def _check_item(name: str, value, kind: type, bounds) -> None:
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigurationError(f"{name} must be a non-empty string, got {value!r}")
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ConfigurationError(f"{name} must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # nan, ±inf, or an int beyond float range
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    for key, bound in bounds.items():
+        test, symbol = _BOUNDS[key]
+        if not test(value, bound):
+            raise ConfigurationError(f"{name} must be {symbol} {bound}, got {value}")

@@ -247,6 +247,11 @@ def nearest_free_cell(grid: OccupancyGrid, ix: int, iy: int, radius: int = 3) ->
     return (best[1], best[2])
 
 
+def _check_cell(cell: float) -> None:
+    if not 0.0 < cell < math.inf:
+        raise ConfigurationError(f"cell size must be positive and finite, got {cell}")
+
+
 def planner_grid(world: WorldSpec, cell: float) -> OccupancyGrid:
     """The world's planner grid at this cell size, rasterised once per (world, cell).
 
@@ -254,8 +259,7 @@ def planner_grid(world: WorldSpec, cell: float) -> OccupancyGrid:
     """
     grid = world._planner.get(cell)
     if grid is None:
-        if not cell > 0.0:
-            raise ConfigurationError(f"cell size must be positive, got {cell}")
+        _check_cell(cell)
         cols = max(2, round(world.width / cell))
         rows = max(2, round(world.height / cell))
         grid = world._planner[cell] = rasterize(world, cols, rows)
@@ -271,8 +275,7 @@ class ShortestPathOracle:
     """
 
     def __init__(self, cell: float = 0.05) -> None:
-        if not cell > 0.0:
-            raise ConfigurationError(f"cell size must be positive, got {cell}")
+        _check_cell(cell)
         self.cell = cell
 
     def shortest(self, world: WorldSpec, start_xy, goal_xy) -> float:

@@ -12,7 +12,6 @@ architecture, which run side by side in one pass (Mlp).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -112,13 +111,18 @@ class Mlp:
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
 
+    def with_params(self, params: np.ndarray) -> Mlp:
+        """This architecture over params (P or (K, P), laid out like self.params), bound once, no copy."""
+        net = object.__new__(Mlp)
+        net.layer_sizes, net.output_activation, net.dropout_p = self.layer_sizes, self.output_activation, self.dropout_p
+        net._bind(params)
+        return net
+
     def row(self, k: int) -> Mlp:
         """The plain network of slice k of a stack: a view of params[k]."""
         if self.params.ndim != 2:
             raise UsageError("row() needs a stack of networks")
-        net = copy.copy(self)
-        net._bind(self.params[k])
-        return net
+        return self.with_params(self.params[k])
 
     @property
     def n_layers(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_finite
+from .errors import bounded, check_fields
 from .world import beam_angles
 
 
@@ -27,17 +27,14 @@ class Action:
 
 @dataclass(frozen=True)
 class PriorParams:
-    k_att: float = 1.0  # attraction gain (unit goal vector scale)
-    k_rep: float = 0.012  # per-beam repulsion gain
-    d_influence: float = 1.5  # m, beams farther than this are ignored
-    k_omega: float = 2.0  # bearing-to-turn-rate gain
-    v_max: float = 1.0  # m/s
+    k_att: float = bounded(1.0, gt=0.0)  # attraction gain (unit goal vector scale)
+    k_rep: float = bounded(0.012, gt=0.0)  # per-beam repulsion gain
+    d_influence: float = bounded(1.5, gt=0.0)  # m, beams farther than this are ignored
+    k_omega: float = bounded(2.0, gt=0.0)  # bearing-to-turn-rate gain
+    v_max: float = bounded(1.0, gt=0.0)  # m/s
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        for name in ("k_att", "k_rep", "d_influence", "k_omega", "v_max"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"prior parameter {name} must be positive")
+        check_fields(self)
 
 
 def prior_command(ranges: np.ndarray, angle_to_goal: float, params: PriorParams) -> Action:

@@ -8,7 +8,6 @@ Rewards are the environment's sparse success signal; nothing is shaped.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .env import (E2E_OBS_DIM, EVAL_SEED_OFFSET, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig,
                   Terminal, discounted_return, prior_of)
-from .errors import ConfigurationError, TrainingDiverged, UsageError, check_finite
+from .errors import ConfigurationError, TrainingDiverged, UsageError, bounded, check_fields, require
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
 from .fileio import read_json, write_atomically
@@ -39,51 +38,27 @@ _LOG_TYPES = {"episode": int, "steps": int, "success": int}
 
 @dataclass(frozen=True)
 class Td3Config:
-    tau: float = 0.005
-    policy_delay: int = 2
-    smoothing_noise_sigma: float = 0.2
-    smoothing_noise_clip: float = 0.5
-    exploration_noise_sigma: float = 0.1
-    batch_size: int = 256
-    buffer_capacity: int = 200_000
-    warmup_steps: int = 1000
-    actor_lr: float = 3e-4
-    critic_lr: float = 3e-4
-    total_episodes: int = 1000
-    eval_every: int = 10
-    eval_episodes: int = 10
-    hidden_sizes: tuple[int, ...] = (256, 256)
-    dropout_p: float = 0.2
+    tau: float = bounded(0.005, ge=0.0, le=1.0)
+    policy_delay: int = bounded(2, ge=1)
+    smoothing_noise_sigma: float = bounded(0.2, ge=0.0)
+    smoothing_noise_clip: float = bounded(0.5, ge=0.0)
+    exploration_noise_sigma: float = bounded(0.1, ge=0.0)
+    batch_size: int = bounded(256, ge=1)
+    buffer_capacity: int = bounded(200_000, ge=1)
+    warmup_steps: int = bounded(1000, ge=0)
+    actor_lr: float = bounded(3e-4, gt=0.0)
+    critic_lr: float = bounded(3e-4, gt=0.0)
+    total_episodes: int = bounded(1000, ge=1)
+    eval_every: int = bounded(10, ge=1)
+    eval_episodes: int = bounded(10, ge=1)
+    hidden_sizes: tuple[int, ...] = bounded((256, 256), ge=1)
+    dropout_p: float = bounded(0.2, ge=0.0, lt=1.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        counts = ("policy_delay", "batch_size", "buffer_capacity", "total_episodes", "eval_every", "eval_episodes")
-        integers = [(name, getattr(self, name)) for name in (*counts, "warmup_steps")]
-        integers += [("hidden_sizes", h) for h in self.hidden_sizes]
-        for name, value in integers:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        check_finite(self)
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigurationError(f"tau must be in [0, 1], got {self.tau}")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.batch_size > self.buffer_capacity:  # train would never make an update
-            raise ConfigurationError(f"batch_size={self.batch_size} exceeds "
-                                     f"buffer_capacity={self.buffer_capacity}")
-        if self.warmup_steps < 0:
-            raise ConfigurationError("warmup_steps must be >= 0")
-        for name in ("actor_lr", "critic_lr"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("smoothing_noise_sigma", "smoothing_noise_clip", "exploration_noise_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ConfigurationError(f"bad hidden sizes {self.hidden_sizes}")
+        check_fields(self)
+        # a buffer that never holds a full batch would train nothing
+        require(self.batch_size <= self.buffer_capacity,
+                f"batch_size={self.batch_size} exceeds buffer_capacity={self.buffer_capacity}")
 
 
 class ReplayBuffer:
@@ -193,18 +168,12 @@ class Td3Nets:
         target = live.copy()
         grad = np.empty_like(live)
         n = actor.params.size
-
-        def view(net: Mlp, params: np.ndarray) -> Mlp:
-            out = copy.copy(net)
-            out._bind(params)
-            return out
-
-        critics, critics_target = (view(critic1, flat[n:].reshape(2, -1)) for flat in (live, target))
+        critics, critics_target = (critic1.with_params(flat[n:].reshape(2, -1)) for flat in (live, target))
         return cls(
             live=live,
             target=target,
-            actor=view(actor, live[:n]),
-            actor_target=view(actor, target[:n]),
+            actor=actor.with_params(live[:n]),
+            actor_target=actor.with_params(target[:n]),
             critics=critics,
             critics_target=critics_target,
             adam_actor=Adam(live[:n], config.actor_lr),
@@ -296,9 +265,7 @@ def read_training_log(path: str | Path) -> list[TrainLogRow]:
 
 def widened(net: Mlp) -> Mlp:
     """A float64 copy of a learner network: what evaluation runs and train returns."""
-    wide = copy.copy(net)
-    wide._bind(net.params.astype(np.float64))
-    return wide
+    return net.with_params(net.params.astype(np.float64))
 
 
 def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:

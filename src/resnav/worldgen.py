@@ -13,12 +13,13 @@ planner grid. Reachability is a connected-component test on that grid
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, check_finite
+from .errors import ConfigurationError, UsageError, bounded, check_fields, require
 from .grid import connected, nearest_free_cell, planner_grid
 from .world import Circle, Rect, Shape, WorldSpec, load_world, save_world, shape_distance
 
@@ -29,59 +30,43 @@ _SIDES = ("east", "west", "north", "south")
 
 @dataclass(frozen=True)
 class WorldGenParams:
-    width: float = 8.0
-    height: float = 8.0
-    robot_radius: float = 0.15
-    n_obstacles_min: int = 4
-    n_obstacles_max: int = 7
-    rect_side_min: float = 0.4
-    rect_side_max: float = 0.9
-    circle_radius_min: float = 0.2
-    circle_radius_max: float = 0.45
-    start_box_half: float = 0.45
-    goal_strip_depth: float = 0.5
-    goal_strip_margin: float = 1.0
-    goal_wall_offset: float = 0.7
-    start_clearance: float = 1.25
-    goal_clearance: float = 0.30
-    wall_clearance: float = 0.25
-    pairwise_clearance: float = 0.85
-    planner_cell: float = 0.05
+    width: float = bounded(8.0, gt=0.0)
+    height: float = bounded(8.0, gt=0.0)
+    robot_radius: float = bounded(0.15, gt=0.0)
+    n_obstacles_min: int = bounded(4, ge=0)
+    n_obstacles_max: int = bounded(7, ge=0)
+    rect_side_min: float = bounded(0.4, gt=0.0)
+    rect_side_max: float = bounded(0.9, gt=0.0)
+    circle_radius_min: float = bounded(0.2, gt=0.0)
+    circle_radius_max: float = bounded(0.45, gt=0.0)
+    start_box_half: float = bounded(0.45, gt=0.0)
+    goal_strip_depth: float = bounded(0.5, gt=0.0)
+    goal_strip_margin: float = bounded(1.0, ge=0.0)
+    goal_wall_offset: float = bounded(0.7, gt=0.0)
+    start_clearance: float = bounded(1.25, ge=0.0)
+    goal_clearance: float = bounded(0.30, ge=0.0)
+    wall_clearance: float = bounded(0.25, ge=0.0)
+    pairwise_clearance: float = bounded(0.85, ge=0.0)
+    planner_cell: float = bounded(0.05, gt=0.0)
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.width <= 0 or self.height <= 0 or self.robot_radius <= 0:
-            raise ConfigurationError("arena dimensions and robot radius must be positive")
-        if not 0 <= self.n_obstacles_min <= self.n_obstacles_max:
-            raise ConfigurationError(
-                f"bad obstacle count range [{self.n_obstacles_min}, {self.n_obstacles_max}]"
-            )
-        for lo, hi, name in (
-            (self.rect_side_min, self.rect_side_max, "rect side"),
-            (self.circle_radius_min, self.circle_radius_max, "circle radius"),
-        ):
-            if not 0 < lo <= hi:
-                raise ConfigurationError(f"bad {name} range [{lo}, {hi}]")
-        for name in ("start_box_half", "goal_strip_depth", "goal_wall_offset", "planner_cell"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("goal_strip_margin", "start_clearance", "goal_clearance",
-                     "wall_clearance", "pairwise_clearance"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+        check_fields(self)
+        for lo, hi in (("n_obstacles_min", "n_obstacles_max"), ("rect_side_min", "rect_side_max"),
+                       ("circle_radius_min", "circle_radius_max")):
+            low, high = getattr(self, lo), getattr(self, hi)
+            require(low <= high, f"{lo}={low} exceeds {hi}={high}")
         # WorldSpec refuses a region within robot_radius of an obstacle, so a
         # smaller clearance would abort the suite instead of one candidate
         for name in ("start_clearance", "goal_clearance"):
-            if getattr(self, name) < self.robot_radius:
-                raise ConfigurationError(
-                    f"{name}={getattr(self, name)} must be >= robot_radius={self.robot_radius}"
-                )
-        if 2 * self.start_box_half >= min(self.width, self.height):
-            raise ConfigurationError("start box does not fit in the arena")
-        if self.goal_strip_margin * 2 >= min(self.width, self.height):
-            raise ConfigurationError("goal strip margins leave no strip")
-        if self.goal_wall_offset + self.goal_strip_depth >= min(self.width, self.height) / 2:
-            raise ConfigurationError("goal strip would cross the arena midline")
+            require(getattr(self, name) >= self.robot_radius,
+                    f"{name}={getattr(self, name)} must be >= robot_radius={self.robot_radius}")
+        side = min(self.width, self.height)
+        require(2 * self.start_box_half < side,
+                f"start_box_half={self.start_box_half} does not fit in the arena (min(width, height)={side})")
+        require(2 * self.goal_strip_margin < side,
+                f"goal_strip_margin={self.goal_strip_margin} leaves no strip (min(width, height)={side})")
+        require(self.goal_wall_offset + self.goal_strip_depth < side / 2,
+                f"goal_wall_offset + goal_strip_depth crosses the arena midline (min(width, height)={side})")
 
     def start_region(self) -> Rect:
         cx, cy = self.width / 2.0, self.height / 2.0
@@ -118,7 +103,8 @@ def _sample_shape(params: WorldGenParams, rng: np.random.Generator) -> Shape:
         y_lo = params.wall_clearance
         y_hi = params.height - params.wall_clearance - h
         if x_hi < x_lo or y_hi < y_lo:
-            raise ConfigurationError("arena too small for the rectangle size range")
+            raise ConfigurationError(f"a rectangle of side up to rect_side_max={hi} does not fit "
+                                     f"wall_clearance={params.wall_clearance} inside the arena")
         x = x_lo + (x_hi - x_lo) * c
         y = y_lo + (y_hi - y_lo) * rng.random()
         return Rect(x, y, x + w, y + h)
@@ -127,17 +113,30 @@ def _sample_shape(params: WorldGenParams, rng: np.random.Generator) -> Shape:
     hi_x = params.width - params.wall_clearance - r
     hi_y = params.height - params.wall_clearance - r
     if hi_x < lo or hi_y < lo:
-        raise ConfigurationError("arena too small for the circle radius range")
+        raise ConfigurationError(f"a circle of radius up to circle_radius_max={params.circle_radius_max} "
+                                 f"does not fit wall_clearance={params.wall_clearance} inside the arena")
     return Circle(lo + (hi_x - lo) * b, lo + (hi_y - lo) * c, r)
 
 
-def _clearances_ok(shape: Shape, placed: list[Shape], start: Rect, goal: Rect,
-                   params: WorldGenParams) -> bool:
+# why an attempt of generate_world failed, as its failure message words it
+_REJECTIONS = {
+    "start": "an obstacle, kept wall_clearance={p.wall_clearance} from the walls, came within "
+             "start_clearance={p.start_clearance} of the start box (start_box_half={p.start_box_half})",
+    "goal": "an obstacle came within goal_clearance={p.goal_clearance} of the goal strip",
+    "pairwise": "an obstacle came within pairwise_clearance={p.pairwise_clearance} of another",
+    "reach": "the goal strip was unreachable from the start box on the planner_cell={p.planner_cell} grid",
+}
+
+
+def _rejection(shape: Shape, placed: list[Shape], start: Rect, goal: Rect, params: WorldGenParams) -> str | None:
+    """The _REJECTIONS key of the first clearance the candidate breaks, or None."""
     if shape_distance(shape, start) < params.start_clearance:
-        return False
+        return "start"
     if shape_distance(shape, goal) < params.goal_clearance:
-        return False
-    return all(shape_distance(shape, other) >= params.pairwise_clearance for other in placed)
+        return "goal"
+    if any(shape_distance(shape, other) < params.pairwise_clearance for other in placed):
+        return "pairwise"
+    return None
 
 
 def _reachable(world: WorldSpec, params: WorldGenParams) -> bool:
@@ -157,22 +156,24 @@ def _reachable(world: WorldSpec, params: WorldGenParams) -> bool:
 def generate_world(params: WorldGenParams, rng: np.random.Generator) -> WorldSpec:
     """One arena from the stream, retrying until all constraints hold."""
     start = params.start_region()
+    failures = Counter()  # why each failed attempt failed: its last candidate's rejection, or "reach"
     for _ in range(_WORLD_TRIES):
         side = _SIDES[int(rng.integers(len(_SIDES)))]
         goal = params.goal_region(side)
         n = int(rng.integers(params.n_obstacles_min, params.n_obstacles_max + 1))
         placed: list[Shape] = []
-        feasible = True
+        rejection = None
         for _ in range(n):
             for _ in range(_OBSTACLE_TRIES):
                 cand = _sample_shape(params, rng)
-                if _clearances_ok(cand, placed, start, goal, params):
+                rejection = _rejection(cand, placed, start, goal, params)
+                if rejection is None:
                     placed.append(cand)
                     break
             else:
-                feasible = False
                 break
-        if not feasible:
+        if rejection is not None:
+            failures[rejection] += 1
             continue
         world = WorldSpec(
             width=params.width, height=params.height, robot_radius=params.robot_radius,
@@ -180,9 +181,10 @@ def generate_world(params: WorldGenParams, rng: np.random.Generator) -> WorldSpe
         )
         if _reachable(world, params):
             return world
-    raise ConfigurationError(
-        f"could not generate a valid world in {_WORLD_TRIES} attempts; relax the clearances"
-    )
+        failures["reach"] += 1
+    most_often = _REJECTIONS[failures.most_common(1)[0][0]].format(p=params)
+    raise ConfigurationError(f"could not generate a valid world in {_WORLD_TRIES} attempts; "
+                             f"most often {most_often}; relax the clearances")
 
 
 def generate_suite(params: WorldGenParams, n_worlds: int, seed: int) -> list[WorldSpec]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -27,9 +25,7 @@ FLOAT32_AGREEMENT = 1e-5
 
 def narrowed(net: Mlp) -> Mlp:
     """A float32 copy of a network, made as Td3Nets.from_networks narrows the learner's."""
-    narrow = copy.copy(net)
-    narrow._bind(net.params.astype(np.float32))
-    return narrow
+    return net.with_params(net.params.astype(np.float32))
 
 
 def relative_error(narrow, wide) -> float:

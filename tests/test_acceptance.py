@@ -12,6 +12,7 @@ trains from scratch.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import heapq
 import json
 import math
@@ -751,3 +752,73 @@ def test_pipeline_rerun_is_byte_identical(train_suite, tmp_path):
         f"mismatched: {mismatched or 'none'} -> {'PASS' if ok else 'FAIL'}"
     )
     assert not mismatched
+
+
+def platform_fingerprint() -> str:
+    """numpy's version, its BLAS and the CPU features numpy dispatches on, as one line.
+
+    Trained bytes depend on how the BLAS tiles its products and on which of
+    numpy's SIMD kernels run, so recorded digests hold for one fingerprint.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except TypeError:  # numpy < 1.26 only prints its config
+        blas = "unknown"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.x
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__  # numpy 1.x
+    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return f"numpy {np.__version__}; blas {blas}; cpu {features}"
+
+
+# Full SHA-256 of each acceptance run's (actor.ckpt, train_log.csv), by the platform that
+# trained them. A deliberate change of trained output records its new digests here.
+RUN_DIGESTS = {
+    (
+        "numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; cpu "
+        "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F "
+        "AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI "
+        "AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX "
+        "AVX512_SPR BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT "
+        "SSE SSE2 SSE3 SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4"
+    ): {
+        ("end_to_end", 0): ("1ae99605bf7a04f13a164d629b07bf3a55a394fc2165770b6a3f2f95ef394a61",
+                            "f85b11dfa6a240c0376d4392410c4df927751613ecd0993cd80389a949c50237"),
+        ("end_to_end", 1): ("ceb912cbb8bfb93653da787cbc8de885713ceb201c92c4515d19117d8d535bc6",
+                            "f3d43d9b88ac923ccc59d2d319f50ae3c28baf84daca5fa6f2d0228f9694706f"),
+        ("end_to_end", 2): ("595bc533b9edaef085c845927737abdfa115170153340ec483b5641eb8168199",
+                            "50106c7c47838a064a388569725f8a88e5ef198affe618dd565d6469d31edc79"),
+        ("end_to_end", 3): ("3c78176a0942a147925092e6e612d313da9d4e6e432561e64d9e506306189e05",
+                            "6e1bf040339cdc83ade146bd21ff99633365fd6f3f3a50d8cddc267724624ba1"),
+        ("end_to_end", 4): ("b11b21ad3320a9547d852fea6e6226c05253ad4b23d59b69171a65b19d702d73",
+                            "876a9383c6c343cd2f8ba2406cdcf23503cb6f76e2fc09619bd25f7946722a9a"),
+        ("residual", 0): ("6aa24e0de5a7f210f59aa593e30158cc3df0e282f2a9b746f31c506ba3368fa2",
+                          "89761f6f3b04fd29eb8bcb0f8f9e4f0ff84b89f77a3d10f909a02d1906617812"),
+        ("residual", 1): ("d721e6ab0f26c481f4f9105ad198e97123e1b4999dae346fb8314f43889f6570",
+                          "3bb69de1f314641f94c1e3395539213aa885e9aa770d6194f57f486c5b9f09b4"),
+        ("residual", 2): ("47415df84fb655681fe6d9aa52653b2f0f247f4a8c4d064d1144b70ca318ca0b",
+                          "339b9a07814347ae43c33d0cf5c57888a9102a71d0b8ba02211bde46a13ee7d9"),
+        ("residual", 3): ("c023ae7b8c1f51c1885f11fdc60ed97f91b68dd2b3e66d25bfa426427488d660",
+                          "88d46fae7d3443f322f9217eec2ee130d45ebe78ce5034ccf6b26603d0b77176"),
+        ("residual", 4): ("5d1e2bfc3e177c328acce40c2e5098a373b61a3febee4584d4534ce48febad68",
+                          "491898c218830611d9b1e74a5dd81653cb89907634984647a784f57a7afd3859"),
+    },
+}
+
+
+def test_trained_runs_match_their_recorded_digests(trained_runs):
+    """The ten acceptance runs' files, bit for bit, on a platform with recorded digests."""
+    fingerprint = platform_fingerprint()
+    if fingerprint not in RUN_DIGESTS:
+        pytest.skip(f"no run digests recorded for this platform: {fingerprint}")
+    digests = {
+        key: tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (run.actor_path, run.actor_path.with_name("train_log.csv")))
+        for key, run in trained_runs.items()
+    }
+    changed = sorted(key for key in digests if digests[key] != RUN_DIGESTS[fingerprint][key])
+    _line(f"[acceptance] run digests: {len(digests)} runs compared, changed: {changed or 'none'} "
+          f"-> {'PASS' if not changed else 'FAIL'}")
+    assert digests == RUN_DIGESTS[fingerprint]

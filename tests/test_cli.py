@@ -122,6 +122,11 @@ class TestWorkflow:
         assert main(["plot", "training", str(run_dir), "--out", str(svg3)]) == 0
         assert svg3.exists()
 
+    def test_train_seed_override_is_checked_as_a_config_seed(self, workspace, capsys):
+        _root, config = workspace
+        assert main(["train", "--config", str(config), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be >= 0, got -1")
+
     def test_rollout_world_index_checked(self, workspace, capsys):
         _root, config = workspace
         rc = main(["rollout", "--config", str(config), "--controller", "prior",

@@ -383,7 +383,7 @@ class TestShortestPathOracle:
         coarse = ShortestPathOracle(0.2).shortest(world, (4.1, 4.1), (6.1, 6.1))
         assert coarse == pytest.approx(2 * fine)
 
-    @pytest.mark.parametrize("cell", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("cell", [0.0, -0.1, math.nan, math.inf])
     def test_cell_must_be_positive(self, cell):
         with pytest.raises(ConfigurationError, match="cell size"):
             ShortestPathOracle(cell)

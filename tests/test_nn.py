@@ -482,9 +482,7 @@ class TestCopies:
 
 def stack_of(*nets: Mlp) -> Mlp:
     """The networks as one stack over a fresh (K, P) params array, bound as Td3Nets binds its critics."""
-    stack = copy.copy(nets[0])
-    stack._bind(np.stack([net.params for net in nets]))
-    return stack
+    return nets[0].with_params(np.stack([net.params for net in nets]))
 
 
 class TestStack:
@@ -497,7 +495,7 @@ class TestStack:
     def test_each_slice_is_bit_equal_to_its_row(self, sizes, batch, dtype):
         rng = np.random.default_rng(90)
         stack = stack_of(*(random_net(rng, sizes, "identity") for _ in range(2)))
-        stack._bind(stack.params.astype(dtype))
+        stack = stack.with_params(stack.params.astype(dtype))
         # a column slice of wider rows, as the replay buffer hands the critics their input
         x = rng.normal(size=(batch, sizes[0] + 5)).astype(dtype)[:, :sizes[0]]
         upstream = rng.normal(size=(2, batch, 1)).astype(dtype)

@@ -151,6 +151,17 @@ class TestParamsValidation:
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
             WorldGenParams(**{name: value})
 
+    @pytest.mark.parametrize("params, name", [
+        (dict(rect_side_max=7.6), "rect_side_max"),
+        (dict(circle_radius_min=3.85, circle_radius_max=3.9), "circle_radius_max"),
+        (dict(start_box_half=2.5), "start_box_half"),
+        (dict(wall_clearance=2.5), "wall_clearance"),
+        (dict(pairwise_clearance=5.0, n_obstacles_min=3), "pairwise_clearance"),
+    ])
+    def test_an_arena_that_cannot_be_generated_names_the_field(self, params, name):
+        with pytest.raises(ConfigurationError, match=name):
+            generate_suite(WorldGenParams(**params), 1, 0)
+
     def test_region_clearances_equal_to_robot_radius_generate(self):
         params = WorldGenParams(start_clearance=0.15, goal_clearance=0.15,
                                 n_obstacles_min=10, n_obstacles_max=14)
