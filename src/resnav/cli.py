@@ -22,13 +22,12 @@ from .fileio import write_atomically
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell, planner_grid
 from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
-from .policy import CHECKPOINT_KIND, PolicyMode, make_policy
+from .policy import CONTROLLERS, TRAINING_MODES, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
-from .td3 import TRAIN_MODES, read_training_log, train
+from .td3 import read_training_log, train
 from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
-_CONTROLLERS = tuple(m.value for m in PolicyMode)
 _M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
 _M_MMAP_THRESHOLD = -3
 _THRESHOLD_BYTES = 64 << 20
@@ -49,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one run (one mode, one seed)")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=tuple(TRAIN_MODES), default=None,
+    p.add_argument("--mode", choices=tuple(TRAINING_MODES), default=None,
                    help="override the config's training mode")
     p.add_argument("--seed", type=int, default=None, help="override the first config seed")
     p.add_argument("--out", default=None, help="run directory (default: out_dir/<mode>/seed<N>)")
@@ -57,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate controllers on a world suite")
     p.add_argument("--config", required=True)
-    p.add_argument("--controllers", default="prior,residual,gated,end_to_end,random",
-                   help="comma list out of: " + ",".join(_CONTROLLERS))
+    p.add_argument("--controllers", default=",".join(CONTROLLERS),
+                   help="comma list out of: " + ",".join(CONTROLLERS))
     p.add_argument("--seed", type=int, default=None,
                    help="which training seed's checkpoints to load (default: first config seed)")
     p.add_argument("--worlds", choices=("train", "heldout"), default="heldout")
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="run one episode and save its trajectory")
     p.add_argument("--config", required=True)
-    p.add_argument("--controller", choices=_CONTROLLERS, default="gated")
+    p.add_argument("--controller", choices=tuple(CONTROLLERS), default="gated")
     p.add_argument("--seed", type=int, default=None,
                    help="which training seed's checkpoint to load")
     p.add_argument("--episode-seed", type=int, default=0,
@@ -102,28 +101,20 @@ def _run_dir(config: ExperimentConfig, mode: str, seed: int) -> Path:
     return Path(config.out_dir) / mode / f"seed{seed}"
 
 
-def _load_actor(config: ExperimentConfig, policy_mode: PolicyMode, seed: int):
-    kind = CHECKPOINT_KIND[policy_mode]
-    ckpt = _run_dir(config, kind, seed) / "actor.ckpt"
-    if not ckpt.exists():
-        raise UsageError(f"no checkpoint at {ckpt}; run `resnav train` for mode {kind!r} first")
-    return load_checkpoint(ckpt)
-
-
 def _pick_suite(config: ExperimentConfig, which: str):
     directory = config.worlds.train_dir if which == "train" else config.worlds.heldout_dir
     return load_suite(directory)
 
 
 def _build_policy(config: ExperimentConfig, name: str, seed: int, single_pass: bool = False):
-    mode = PolicyMode(name)
-    if mode in CHECKPOINT_KIND:
-        actor, kind = _load_actor(config, mode, seed)
-        return make_policy(
-            mode, actor=actor, actor_kind=kind,
-            n_passes=config.evaluation.n_passes, single_pass=single_pass,
-        )
-    return make_policy(mode)
+    """The named controller, with the actor of this seed's run of its training mode if it loads one."""
+    mode = CONTROLLERS[name].checkpoint
+    if mode is None:
+        return make_policy(name)
+    ckpt = _run_dir(config, mode.name, seed) / "actor.ckpt"
+    if not ckpt.exists():
+        raise UsageError(f"no checkpoint at {ckpt}; run `resnav train` for mode {mode.name!r} first")
+    return make_policy(name, *load_checkpoint(ckpt), n_passes=config.evaluation.n_passes, single_pass=single_pass)
 
 
 def cmd_init_config(args) -> int:
@@ -178,12 +169,9 @@ def cmd_eval(args) -> int:
     if not names:
         raise UsageError("no controllers given")
     for name in names:
-        if name not in _CONTROLLERS:
-            raise UsageError(f"unknown controller {name!r}; pick from {', '.join(_CONTROLLERS)}")
-    policies = {
-        name: _build_policy(config, name, seed, single_pass=args.single_pass)
-        for name in names
-    }
+        if name not in CONTROLLERS:
+            raise UsageError(f"unknown controller {name!r}; pick from {', '.join(CONTROLLERS)}")
+    policies = {name: _build_policy(config, name, seed, single_pass=args.single_pass) for name in names}
     worlds = _pick_suite(config, args.worlds)
     n_episodes = args.episodes if args.episodes is not None else config.evaluation.n_episodes
     result = evaluate(

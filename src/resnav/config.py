@@ -23,8 +23,9 @@ from pathlib import Path
 from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError, bounded, check_fields, require
 from .fileio import read_json, write_atomically
+from .policy import TRAINING_MODES
 from .prior import PriorParams
-from .td3 import TRAIN_MODES, Td3Config
+from .td3 import Td3Config
 from .worldgen import WorldGenParams
 
 EXP_FORMAT = "exp/1"
@@ -70,7 +71,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        require(self.mode in TRAIN_MODES, f"mode must be one of {tuple(TRAIN_MODES)}, got {self.mode!r}")
+        require(self.mode in TRAINING_MODES, f"mode must be one of {tuple(TRAINING_MODES)}, got {self.mode!r}")
         require(len(set(self.seeds)) == len(self.seeds), f"seeds must be distinct, got {list(self.seeds)}")
 
 

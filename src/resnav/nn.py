@@ -80,7 +80,11 @@ class Mlp:
         self.layer_sizes = sizes
         self.output_activation = output_activation
         self.dropout_p = float(dropout_p)
-        self._bind(np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))))
+        try:
+            params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:])))
+        except (MemoryError, ValueError) as exc:  # numpy refuses the size before touching memory
+            raise ConfigurationError(f"layer sizes {sizes} cannot be allocated: {exc}") from None
+        self._bind(params)
         if rng is None:
             return
         last = self.n_layers - 1
@@ -361,4 +365,7 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, str]:
     if len(blob) != net.params.nbytes:
         raise ConfigurationError(f"{path}: parameter blob is {len(blob)} bytes, expected {net.params.nbytes}")
     net.params[...] = np.frombuffer(blob, dtype="<f8")
+    bad = np.count_nonzero(~np.isfinite(net.params))
+    if bad:
+        raise ConfigurationError(f"{path}: {bad} parameter(s) are not finite")
     return net, str(header["mode"])

@@ -19,7 +19,7 @@ import numpy as np
 from .env import IDX_PREV_OMEGA, IDX_PREV_V, NavEnv, StepResult, Terminal, discounted_return, prior_of
 from .errors import ConfigurationError, UsageError
 from .fileio import read_json, write_atomically
-from .policy import PolicyMode, PolicyOutput
+from .policy import PolicyOutput, controller_of
 from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
@@ -92,10 +92,12 @@ def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[np.ndarray, PolicyOu
 
 
 def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
-    """Roll one episode of `policy` in `env`, recording every step; end-to-end rows record no prior."""
+    """Roll one episode of `policy` in `env`, recording every step; rows hold the prior's command
+    when the controller's table entry says so (Controller.records_prior)."""
+    name, controller = controller_of(policy)
     rows: list[TrajectoryRow] = []
     for obs, out, result in drive(env, policy, seed):
-        prior = None if policy.mode is PolicyMode.END_TO_END else prior_of(obs)
+        prior = prior_of(obs) if controller.records_prior else None
         rows.append(TrajectoryRow(
             t=env.steps,
             x=env.pose.x, y=env.pose.y, theta=env.pose.theta,
@@ -113,7 +115,7 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
         ))
     start = env.start
     return EpisodeRecord(
-        mode=policy.mode.value,
+        mode=name,
         seed=seed,
         terminal=result.terminal,
         success=result.terminal is Terminal.GOAL,

@@ -15,23 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import (E2E_OBS_DIM, EVAL_SEED_OFFSET, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig,
-                  Terminal, discounted_return, prior_of)
+from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal, discounted_return
 from .errors import ConfigurationError, TrainingDiverged, UsageError, bounded, check_fields, require
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
 from .fileio import read_json, write_atomically
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
-from .policy import EndToEndPolicy, ResidualPolicy
-from .prior import Action, PriorParams, compose_hybrid
+from .policy import TRAINING_MODES, make_policy
+from .prior import PriorParams
 from .rollout import drive, read_csv, write_csv
 from .world import WorldSpec
 
 ACTION_DIM = 2
 #: the learner's dtype: networks, gradients, optimiser state and replay rows
 LEARNER_DTYPE = np.float32
-#: training mode -> width of the observation prefix its actor reads
-TRAIN_MODES = {"residual": RESIDUAL_OBS_DIM, "end_to_end": E2E_OBS_DIM}
 TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
 _LOG_TYPES = {"episode": int, "steps": int, "success": int}
 
@@ -71,7 +68,10 @@ class ReplayBuffer:
         if capacity < 1:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), LEARNER_DTYPE)
+        try:
+            self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), LEARNER_DTYPE)
+        except (MemoryError, ValueError) as exc:  # numpy refuses the size before touching memory
+            raise ConfigurationError(f"buffer_capacity={capacity} cannot be allocated: {exc}") from None
         self.obs_action, self.reward, self.next_obs, self.done = self._split(self.rows)
         self.obs, self.action = self.obs_action[:, :obs_dim], self.obs_action[:, obs_dim:]
         self._size = 0
@@ -269,8 +269,8 @@ def widened(net: Mlp) -> Mlp:
 
 
 def greedy_episode(env: NavEnv, actor: Mlp, mode: str, seed: int) -> bool:
-    """Deterministic rollout (no noise, dropout off) used for periodic eval; True on success."""
-    policy = ResidualPolicy(actor, single_pass=True) if mode == "residual" else EndToEndPolicy(actor)
+    """Periodic eval: the mode's namesake controller in one pass (no noise, dropout off); True on success."""
+    policy = make_policy(mode, actor, mode, single_pass=True)
     for _obs, _out, result in drive(env, policy, seed):
         pass
     return result.terminal is Terminal.GOAL
@@ -315,7 +315,7 @@ def train(
     optimizer state, and train_log.csv keeps the snapshot's rows ahead of
     the new ones; TrainResult.log holds only the episodes this call ran.
     """
-    if mode not in TRAIN_MODES:
+    if mode not in TRAINING_MODES:
         raise ConfigurationError(f"unknown training mode {mode!r}")
     if not worlds:
         raise ConfigurationError("training needs at least one world")
@@ -326,7 +326,8 @@ def train(
         np.random.default_rng(s) for s in ss.spawn(5)
     )
 
-    dim = TRAIN_MODES[mode]
+    training = TRAINING_MODES[mode]
+    dim = training.obs_dim
     start_episode = 1
     history: list[TrainLogRow] = []
     if resume_from is not None:
@@ -352,11 +353,7 @@ def train(
             else:
                 noise = rng_explore.normal(0.0, config.exploration_noise_sigma, ACTION_DIM)
                 policy_action = _clamp(nets.actor.forward(obs) + noise, 1.0)
-            if mode == "residual":
-                executed = compose_hybrid(prior_of(obs), policy_action)
-            else:
-                executed = Action(float(policy_action[0]), float(policy_action[1]))
-            result = env.step(executed)
+            result = env.step(training.command(obs, policy_action))
             next_obs = result.observation[:dim]
             buffer.add(obs, policy_action, result.reward, next_obs, bootstrap_mask(result.terminal))
             obs = next_obs

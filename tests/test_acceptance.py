@@ -41,7 +41,6 @@ from resnav.plots import plot_components, plot_trajectory, plot_training
 from resnav.policy import (
     EndToEndPolicy,
     GatedResidualPolicy,
-    PolicyMode,
     PriorPolicy,
     RandomPolicy,
     ResidualPolicy,
@@ -182,12 +181,12 @@ def _evaluate_heldout(heldout_suite, residual_ckpt: Path, end_to_end_ckpt: Path,
     policies = {
         "prior": PriorPolicy(),
         "residual": make_policy(
-            PolicyMode.RESIDUAL, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
+            "residual", actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
         ),
         "gated": make_policy(
-            PolicyMode.GATED, actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
+            "gated", actor=res_actor, actor_kind=res_kind, n_passes=MC_PASSES
         ),
-        "end_to_end": make_policy(PolicyMode.END_TO_END, actor=e2e_actor, actor_kind=e2e_kind),
+        "end_to_end": make_policy("end_to_end", actor=e2e_actor, actor_kind=e2e_kind),
         "random": RandomPolicy(),
     }
     return evaluate(
@@ -437,7 +436,7 @@ def test_planner_and_raycast_match_independent_references():
 def test_gate_fallback_frequency_tracks_uncertainty(trained_runs, heldout_suite):
     """Fallback rate over 1e4 draws matches epsilon; epsilon stays in [0, 1]."""
     actor, kind = load_checkpoint(trained_runs[("residual", 0)].actor_path)
-    gated = make_policy(PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=MC_PASSES)
+    gated = make_policy("gated", actor=actor, actor_kind=kind, n_passes=MC_PASSES)
 
     best_eps, best_obs = -1.0, None
     n_states = 0
@@ -647,7 +646,7 @@ def test_reward_is_sparse_and_spl_bounded(trained_runs, heldout_results, heldout
     sums_ok = True
     for k, policy in enumerate(
         (PriorPolicy(), RandomPolicy(),
-         make_policy(PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=MC_PASSES))
+         make_policy("gated", actor=actor, actor_kind=kind, n_passes=MC_PASSES))
     ):
         for i in range(4):
             env = _residual_env(heldout_suite[(k + i) % len(heldout_suite)])
@@ -713,7 +712,7 @@ def test_pipeline_rerun_is_byte_identical(train_suite, tmp_path):
             oracle=ShortestPathOracle(cell=0.1),
         )
         actor, kind = load_checkpoint(result.checkpoint_path)
-        gated = make_policy(PolicyMode.GATED, actor=actor, actor_kind=kind, n_passes=16)
+        gated = make_policy("gated", actor=actor, actor_kind=kind, n_passes=16)
         eval_result = evaluate(
             train_suite[:2],
             {"prior": PriorPolicy(), "gated": gated, "random": RandomPolicy()},
@@ -754,6 +753,15 @@ def test_pipeline_rerun_is_byte_identical(train_suite, tmp_path):
     assert not mismatched
 
 
+def _cpu_features() -> str:
+    """The CPU features numpy dispatches its SIMD kernels on, sorted, one line."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.x
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__  # numpy 1.x
+    return " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+
+
 def platform_fingerprint() -> str:
     """numpy's version, its BLAS and the CPU features numpy dispatches on, as one line.
 
@@ -765,25 +773,27 @@ def platform_fingerprint() -> str:
         blas = f"{blas['name']} {blas['version']}"
     except TypeError:  # numpy < 1.26 only prints its config
         blas = "unknown"
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__  # numpy 2.x
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__  # numpy 1.x
-    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
-    return f"numpy {np.__version__}; blas {blas}; cpu {features}"
+    return f"numpy {np.__version__}; blas {blas}; cpu {_cpu_features()}"
 
+
+def numpy_fingerprint() -> str:
+    """numpy's version and the CPU features it dispatches on: the key of artifacts that run no matrix product."""
+    return f"numpy {np.__version__}; cpu {_cpu_features()}"
+
+
+# numpy 2.4.6's dispatch CPU features on the one recorded platform, a Sapphire Rapids class x86-64
+_AVX512_SPR = (
+    "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F "
+    "AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI "
+    "AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX "
+    "AVX512_SPR BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT "
+    "SSE SSE2 SSE3 SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4"
+)
 
 # Full SHA-256 of each acceptance run's (actor.ckpt, train_log.csv), by the platform that
 # trained them. A deliberate change of trained output records its new digests here.
 RUN_DIGESTS = {
-    (
-        "numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; cpu "
-        "AVX AVX2 AVX512BF16 AVX512BITALG AVX512BW AVX512CD AVX512DQ AVX512F "
-        "AVX512FP16 AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512VL AVX512VNNI "
-        "AVX512VPOPCNTDQ AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SKX "
-        "AVX512_SPR BMI BMI2 CX16 F16C FMA3 GFNI LAHF LZCNT MMX MOVBE POPCNT "
-        "SSE SSE2 SSE3 SSE41 SSE42 SSSE3 VAES VPCLMULQDQ X86_V2 X86_V3 X86_V4"
-    ): {
+    f"numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; cpu {_AVX512_SPR}": {
         ("end_to_end", 0): ("1ae99605bf7a04f13a164d629b07bf3a55a394fc2165770b6a3f2f95ef394a61",
                             "f85b11dfa6a240c0376d4392410c4df927751613ecd0993cd80389a949c50237"),
         ("end_to_end", 1): ("ceb912cbb8bfb93653da787cbc8de885713ceb201c92c4515d19117d8d535bc6",
@@ -822,3 +832,123 @@ def test_trained_runs_match_their_recorded_digests(trained_runs):
     _line(f"[acceptance] run digests: {len(digests)} runs compared, changed: {changed or 'none'} "
           f"-> {'PASS' if not changed else 'FAIL'}")
     assert digests == RUN_DIGESTS[fingerprint]
+
+
+# ---------------------------------------------------------------------------
+# controller artifacts, bit for bit
+
+
+_DIGEST_PASSES = 8
+_DIGEST_EPISODES = 6
+_DIGEST_ROLLOUT_SEEDS = (0, 1)
+
+
+def _digest_actor(n_in: int, seed: int) -> Mlp:
+    """A seeded, untrained 16x16 actor with dropout 0.2, its output layer scaled up
+    so that its correction moves the robot and the gate's variance is large enough to fire."""
+    actor = Mlp([n_in, 16, 16, 2], "tanh", 0.2, rng=np.random.default_rng(seed))
+    actor.weights[-1][...] *= 300.0
+    return actor
+
+
+def _digest_controllers() -> dict:
+    residual = _digest_actor(RESIDUAL_OBS_DIM, 21)
+    return {
+        "prior": PriorPolicy(),
+        "residual": ResidualPolicy(residual, n_passes=_DIGEST_PASSES),
+        "gated": GatedResidualPolicy(residual, n_passes=_DIGEST_PASSES),
+        "end_to_end": EndToEndPolicy(_digest_actor(E2E_OBS_DIM, 19)),
+        "random": RandomPolicy(),
+    }
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _rollout_digests(heldout_suite, names, out: Path) -> dict:
+    """(controller, seed) -> SHA-256 of the trajectory CSV and its sidecar, for each named controller.
+
+    Episode seed i runs on held-out world i from reset seed EVAL_SEED_OFFSET + i.
+    """
+    controllers = _digest_controllers()
+    digests = {}
+    for name in names:
+        for i in _DIGEST_ROLLOUT_SEEDS:
+            env = _residual_env(heldout_suite[i])
+            path = out / f"{name}_{i}.csv"
+            save_trajectory(run_episode(env, controllers[name], EVAL_SEED_OFFSET + i), env, path)
+            digests[name, i] = (_sha256(path), _sha256(path.with_suffix(".meta.json")))
+    return digests
+
+
+def _evaluate_digest(heldout_suite, out: Path) -> str:
+    """SHA-256 of episodes.csv from all five controllers on three held-out worlds."""
+    result = evaluate(heldout_suite[:3], _digest_controllers(), _DIGEST_EPISODES, seed_base=0,
+                      episode_config=EPISODE, sensor_config=SENSOR, prior_params=PRIOR,
+                      oracle=ShortestPathOracle(cell=0.1))
+    result.write_episode_csv(out / "episodes.csv")
+    return _sha256(out / "episodes.csv")
+
+
+# SHA-256 of the prior and random controllers' rollout files, by numpy_fingerprint(): they
+# run no matrix product, so the BLAS does not enter. A deliberate change of their output
+# records its new digests here.
+PLAIN_DIGESTS = {
+    f"numpy 2.4.6; cpu {_AVX512_SPR}": {
+        ("prior", 0): ("24ede1d106afbc1131bc87271e0fa61b2f2717f26686df68f4e73fc1a5fde4ad",
+                       "43bc1b1afec47ac8d67c7403ed19bc4f9ec2313efb48889fd68720a618d6f951"),
+        ("prior", 1): ("72b5fae6e28f98d4b3883917462fc553a442a8d13ec718d1b7321f70a63db651",
+                       "c33e365c4833015253bd427fa55ee46e761a2112980fe94e265f6657f5a10d74"),
+        ("random", 0): ("4499ff401c158b87e2a72b0beaf2ccb6d2c1ca4584c82fecec00cb6094bf5ee7",
+                        "97b4ee993c470b540974c93ffabd8067780e407baa8fb7c97ca9d7d3300129eb"),
+        ("random", 1): ("7d43d7eba1f07decc776f589f05e89b983f01679ab6bc0595447cd040efa091f",
+                        "560dfd32d60e5109516f9a9367c5dd3bd85c1ae9fe9a01f85b1863eab7bf547d"),
+    },
+}
+
+# SHA-256 of the network controllers' rollout files and of the five-controller
+# episodes.csv, by platform_fingerprint(). A deliberate change of their output records
+# its new digests here.
+NETWORK_DIGESTS = {
+    f"numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; cpu {_AVX512_SPR}": {
+        "episodes.csv": "c3d573736e1bed46b3bb48c4f6c8247439425337d475fb665cdbabe17a5c21e7",
+        ("residual", 0): ("a630abf2c1b5db82e27a014b8ce024dc959e5026144c7d27a3a4cb34a7eb85cb",
+                          "cbaa050142e290efa5c3954f2ff4dcea047f9e676e64b198d4d704e047c1aa48"),
+        ("residual", 1): ("3b57bab6e9192bc352582a9c9b2e7971a78ff48f22a6cd64a17187cfeb168998",
+                          "f5e5d2281e4c048bb6bca786d93b452783f4d73f3362a8bc74b0493a28a04c3a"),
+        ("gated", 0): ("ece87192149858c628c6ddd4e4b6eb63730653f77b98caf1f03075da820747a8",
+                       "a395029040f10cc45aa76a8de32ab5e2cf65d8a49c6dbf8d7abfd9153d580655"),
+        ("gated", 1): ("327508f286cee1ebc82459bd9b3e86810e1077f11963606b87f5e81cd46c9c78",
+                       "3ae44e922e5ab239f8836fc53d33ca9543ac3e581bf4286285166d177065c126"),
+        ("end_to_end", 0): ("810a67e242675d7551cb74b92498f1a3a6a70e2d89a2c636265781d87f00c926",
+                            "b48ad3f612fd8c0acae8f82e806a59dde5f6921855707b85a906becb839d13a5"),
+        ("end_to_end", 1): ("8c4dc122f4ee36cd37b50de0b61648395e97154071ec20428dc2238ed8f5d06e",
+                            "0dc21656fffe5c4ea21b7237598a3ca6b6fe1f6094d7830fb264e260ea0a9ed9"),
+    },
+}
+
+
+def test_prior_and_random_artifacts_match_their_recorded_digests(heldout_suite, tmp_path):
+    """The prior and random controllers' rollout CSVs and sidecars, bit for bit."""
+    key = numpy_fingerprint()
+    if key not in PLAIN_DIGESTS:
+        pytest.skip(f"no prior/random digests recorded for this numpy: {key}")
+    digests = _rollout_digests(heldout_suite, ("prior", "random"), tmp_path)
+    changed = sorted(k for k in digests if digests[k] != PLAIN_DIGESTS[key][k])
+    _line(f"[acceptance] prior/random digests: {len(digests)} rollouts compared, changed: "
+          f"{changed or 'none'} -> {'PASS' if not changed else 'FAIL'}")
+    assert digests == PLAIN_DIGESTS[key]
+
+
+def test_network_controller_artifacts_match_their_recorded_digests(heldout_suite, tmp_path):
+    """The residual, gated and end-to-end rollouts and the five-controller episodes.csv, bit for bit."""
+    key = platform_fingerprint()
+    if key not in NETWORK_DIGESTS:
+        pytest.skip(f"no network-controller digests recorded for this platform: {key}")
+    digests = _rollout_digests(heldout_suite, ("residual", "gated", "end_to_end"), tmp_path)
+    digests["episodes.csv"] = _evaluate_digest(heldout_suite, tmp_path)
+    changed = sorted(map(str, (k for k in digests if digests[k] != NETWORK_DIGESTS[key][k])))
+    _line(f"[acceptance] network-controller digests: {len(digests)} artifacts compared, changed: "
+          f"{changed or 'none'} -> {'PASS' if not changed else 'FAIL'}")
+    assert digests == NETWORK_DIGESTS[key]

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import site
 import subprocess
@@ -13,8 +15,11 @@ import pytest
 
 from resnav import cli
 from resnav.cli import main
-from resnav.config import load_config
+from resnav.config import ExperimentConfig, load_config
+from resnav.errors import ConfigurationError
 from resnav.grid import ShortestPathOracle
+from resnav.nn import load_checkpoint, save_checkpoint
+from resnav.policy import CONTROLLERS, TRAINING_MODES
 from resnav.td3 import read_training_log, train
 from resnav.worldgen import load_suite
 
@@ -181,6 +186,62 @@ class TestWorkflow:
         root, config = workspace
         rc = main(["train", "--config", str(config), "--resume"])
         assert rc == 0
+
+
+def _variant(config_path: Path, tmp_path: Path, **sections) -> Path:
+    """A copy of a config file under tmp_path, its out_dir there and the given sections updated."""
+    data = json.loads(config_path.read_text())
+    data["out_dir"] = str(tmp_path / "runs")
+    for name, values in sections.items():
+        data[name].update(values)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestImpossibleInputs:
+    # sizes beyond what numpy can address, so they are refused without allocating
+    @pytest.mark.parametrize("td3,named", [({"buffer_capacity": 10**18}, "buffer_capacity"),
+                                           ({"hidden_sizes": [10**18]}, "layer sizes")])
+    def test_train_names_an_impossible_allocation(self, workspace, tmp_path, capsys, td3, named):
+        _root, config = workspace
+        assert main(["train", "--config", str(_variant(config, tmp_path, td3=td3))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    def test_eval_rejects_a_non_finite_checkpoint(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        actor, kind = load_checkpoint(root / "runs" / "residual" / "seed0" / "actor.ckpt")
+        actor.params[0], actor.params[-1] = float("nan"), float("inf")
+        ckpt = tmp_path / "runs" / "residual" / "seed0" / "actor.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        save_checkpoint(actor, kind, ckpt)
+        assert main(["eval", "--config", str(_variant(config, tmp_path)), "--controllers", "gated"]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: 2 parameter(s) are not finite\n"
+
+
+def _option(command: str, flag: str) -> argparse.Action:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices[command]._actions if flag in a.option_strings)
+
+
+class TestTheTableIsTheOnlyList:
+    def test_rollout_and_train_choices(self):
+        assert list(_option("rollout", "--controller").choices) == list(CONTROLLERS)
+        assert list(_option("train", "--mode").choices) == list(TRAINING_MODES)
+
+    def test_eval_controllers(self, workspace, capsys):
+        _root, config = workspace
+        assert _option("eval", "--controllers").default.split(",") == list(CONTROLLERS)
+        assert main(["eval", "--config", str(config), "--controllers", "warp"]) == 2
+        assert capsys.readouterr().err.rstrip().split("pick from ")[1].split(", ") == list(CONTROLLERS)
+
+    def test_config_mode_rule(self):
+        for mode in TRAINING_MODES:
+            assert ExperimentConfig(mode=mode).mode == mode
+        for name in set(CONTROLLERS) - set(TRAINING_MODES):
+            with pytest.raises(ConfigurationError, match=re.escape(f"mode must be one of {tuple(TRAINING_MODES)}")):
+                ExperimentConfig(mode=name)
 
 
 def test_train_scores_its_curve_on_the_evaluation_grid(tmp_path, monkeypatch):

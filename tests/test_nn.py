@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -461,6 +462,20 @@ class TestCheckpoint:
         p.write_bytes(raw.replace(b'"layer_sizes": [4, 3, 2]', b'"layer_sizes": [4, 3.7, 2]', 1))
         with pytest.raises(ConfigurationError, match="layer size 3.7 is not an integer"):
             load_checkpoint(p)
+
+    def test_non_finite_parameters_rejected_by_file(self, tmp_path):
+        # a NaN weight would make the gate's epsilon NaN, so it could never fall back
+        net = Mlp([21, 64, 64, 2], "tanh", 0.2, rng=np.random.default_rng(40))
+        net.params[7], net.params[-1] = np.nan, np.inf
+        p = tmp_path / "actor.ckpt"
+        save_checkpoint(net, "residual", p)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{p}: 2 parameter(s) are not finite")):
+            load_checkpoint(p)
+
+    def test_impossible_layer_sizes_named(self):
+        # beyond what numpy can address, so it refuses without allocating
+        with pytest.raises(ConfigurationError, match=re.escape("layer sizes [21, 1000000000000000000, 2] cannot")):
+            Mlp([21, 10**18, 2])
 
 
 class TestCopies:

@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
-from resnav.env import E2E_OBS_DIM, IDX_PRIOR_OMEGA, IDX_PRIOR_V, RESIDUAL_OBS_DIM
+from resnav.env import E2E_OBS_DIM, IDX_PRIOR_OMEGA, IDX_PRIOR_V, RESIDUAL_OBS_DIM, NavEnv, prior_of
 from resnav.errors import ConfigurationError, UsageError
 from resnav.nn import Mlp, mc_statistics
 from resnav.policy import (
+    CONTROLLERS,
+    TRAINING_MODES,
     EndToEndPolicy,
     GatedResidualPolicy,
-    PolicyMode,
     PriorPolicy,
     RandomPolicy,
     ResidualPolicy,
+    controller_of,
     epsilon_from_variance,
     make_policy,
 )
-from resnav.prior import Action
-from resnav.td3 import compose_hybrid
+from resnav.prior import Action, compose_hybrid
+
+from conftest import make_cluttered_world
 
 OBS_DIM = RESIDUAL_OBS_DIM
 
@@ -241,7 +244,7 @@ class TestEndToEndAndRandom:
 class TestMakePolicy:
     def test_prior_and_random_need_no_network(self):
         assert isinstance(make_policy("prior"), PriorPolicy)
-        assert isinstance(make_policy(PolicyMode.RANDOM), RandomPolicy)
+        assert isinstance(make_policy("random"), RandomPolicy)
 
     def test_learned_modes_require_a_network(self):
         with pytest.raises(UsageError, match="trained network"):
@@ -260,3 +263,27 @@ class TestMakePolicy:
         assert isinstance(make_policy("gated", actor=actor, actor_kind="residual"), GatedResidualPolicy)
         e2e = make_policy("end_to_end", actor=make_actor(dropout=0.0), actor_kind="end_to_end")
         assert isinstance(e2e, EndToEndPolicy)
+
+
+class TestControllerTable:
+    @pytest.mark.parametrize("name", list(CONTROLLERS))
+    def test_every_controller_builds_through_make_policy_and_acts(self, name):
+        controller = CONTROLLERS[name]
+        mode = controller.checkpoint
+        actor = None if mode is None else Mlp([mode.obs_dim, 8, 2], "tanh", 0.2, rng=np.random.default_rng(1))
+        policy = make_policy(name, actor, None if mode is None else mode.name, n_passes=4)
+        assert type(policy) is controller.policy
+        assert controller_of(policy) == (name, controller)
+        out = policy.act(NavEnv(make_cluttered_world()).reset(3), np.random.default_rng(0))
+        assert abs(out.action.v) <= 1.0 and abs(out.action.omega) <= 1.0
+
+    def test_each_training_mode_is_loaded_by_its_namesake_controller(self):
+        for name, mode in TRAINING_MODES.items():
+            assert mode.name == name
+            assert CONTROLLERS[name].checkpoint is mode
+
+    def test_commands_of_each_training_mode(self):
+        obs = with_prior(random_obs(np.random.default_rng(2)), Action(0.5, -0.25))
+        out = np.array([0.125, 0.5])
+        assert TRAINING_MODES["residual"].command(obs, out) == compose_hybrid(prior_of(obs), out)
+        assert TRAINING_MODES["end_to_end"].command(obs, out) == Action(0.125, 0.5)

@@ -13,10 +13,9 @@ from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
 from resnav.evaluation import evaluate, paired_episodes
 from resnav.grid import ShortestPathOracle
 from resnav.nn import Adam, Mlp, load_checkpoint, polyak_update
-from resnav.policy import EndToEndPolicy, ResidualPolicy
-from resnav.prior import Action
+from resnav.policy import TRAINING_MODES, EndToEndPolicy, ResidualPolicy
+from resnav.prior import Action, compose_hybrid
 from resnav.td3 import (
-    TRAIN_MODES,
     ReplayBuffer,
     Td3Config,
     Td3Nets,
@@ -25,7 +24,6 @@ from resnav.td3 import (
     _save_snapshot,
     actor_update,
     bootstrap_mask,
-    compose_hybrid,
     critic_update,
     greedy_episode,
     read_training_log,
@@ -79,6 +77,11 @@ class TestBootstrapMask:
 
 
 class TestReplayBuffer:
+    def test_impossible_capacity_named(self):
+        # beyond what numpy can address, so it refuses without allocating
+        with pytest.raises(ConfigurationError, match="buffer_capacity=1000000000000000000 cannot be allocated"):
+            ReplayBuffer(10**18, obs_dim=21)
+
     def test_fifo_wraparound(self):
         buf = ReplayBuffer(4, obs_dim=2)
         for k in range(6):
@@ -335,12 +338,12 @@ class TestTwinCritics:
 
     def test_snapshot_round_trips_both_critics(self, tmp_path):
         config = small_config()
-        nets = Td3Nets.build(TRAIN_MODES["residual"], config, np.random.default_rng(3))
+        nets = Td3Nets.build(TRAINING_MODES["residual"].obs_dim, config, np.random.default_rng(3))
         _save_snapshot(tmp_path, nets, "residual", [TrainLogRow(1, 5, 0.5, 0, 0.0)])
         for k in (0, 1):
             critic, _ = load_checkpoint(tmp_path / "snapshot" / f"critic{k + 1}.ckpt")
             assert np.array_equal(critic.params, nets.critics.row(k).params)
-        loaded, _, _ = _load_snapshot(tmp_path, TRAIN_MODES["residual"], config)
+        loaded, _, _ = _load_snapshot(tmp_path, TRAINING_MODES["residual"].obs_dim, config)
         assert np.array_equal(loaded.critics.params, nets.critics.params)
         assert np.array_equal(loaded.actor.params, nets.actor.params)
 
@@ -348,7 +351,7 @@ class TestTwinCritics:
 def test_float32_updates_agree_with_float64(monkeypatch):
     """One critic update and one actor update, each from the same start as a float64 learner."""
     config = small_config(hidden_sizes=(64, 64), dropout_p=0.2)
-    dim = TRAIN_MODES["residual"]
+    dim = TRAINING_MODES["residual"].obs_dim
     rng = np.random.default_rng(31)
     buf = ReplayBuffer(256, dim)
     for _ in range(256):
@@ -426,7 +429,7 @@ class TestFlatLearner:
     def test_strided_critic_input_matches_its_concatenation(self, mode, hidden, batch):
         """Same bits through forward_trace and backward for the layer shapes in use:
         tests, the acceptance and benchmark runs (64x64, batch 128) and the defaults."""
-        dim = TRAIN_MODES[mode]
+        dim = TRAINING_MODES[mode].obs_dim
         rng = np.random.default_rng(12)
         buf = ReplayBuffer(2 * batch, dim)
         for _ in range(2 * batch):
@@ -527,7 +530,7 @@ class TestTrain:
               seed=9, out_dir=out, oracle=ShortestPathOracle(0.25))
         live, episode = written[-1]
         assert episode == 4 and live.dtype == np.float32
-        nets, start, _ = _load_snapshot(out, TRAIN_MODES["residual"], config)
+        nets, start, _ = _load_snapshot(out, TRAINING_MODES["residual"].obs_dim, config)
         assert start == 5
         assert nets.live.dtype == np.float32 and np.array_equal(nets.live, live)
         assert np.array_equal(nets.target, live)
@@ -736,7 +739,7 @@ class TestPeriodicEval:
     def test_matches_evaluate_on_the_same_episodes(self, mode):
         worlds = [make_cluttered_world(), make_empty_world(side=6.0)]
         episode = EpisodeConfig(max_steps=50)  # short enough that some residual episodes time out
-        actor = Mlp([TRAIN_MODES[mode], 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
+        actor = Mlp([TRAINING_MODES[mode].obs_dim, 8, 8, 2], "tanh", 0.2, rng=np.random.default_rng(4))
         envs = [NavEnv(w, episode=episode) for w in worlds]
         got = paired_episodes("greedy", envs, 8, 11, ShortestPathOracle(0.1),
                               lambda env, seed: greedy_episode(env, actor, mode, seed))
