@@ -18,13 +18,13 @@ from .config import ExperimentConfig, load_config, save_config
 from .env import NavEnv
 from .errors import ConfigurationError, TrainingDiverged, UsageError
 from .evaluation import eval_seed, evaluate
-from .fileio import write_atomically
+from .fileio import read_rows, write_atomically
 from .grid import ShortestPathOracle, astar_path, nearest_free_cell, planner_grid
 from .nn import load_checkpoint
 from .plots import plot_components, plot_trajectory, plot_training
 from .policy import CONTROLLERS, TRAINING_MODES, make_policy
 from .rollout import load_trajectory, run_episode, save_trajectory
-from .td3 import read_training_log, train
+from .td3 import TrainLogRow, train
 from .world import WorldSpec
 from .worldgen import generate_suite, load_suite, write_suite
 
@@ -226,7 +226,7 @@ def cmd_plot(args) -> int:
                 path = path / "train_log.csv"
             if not path.exists():
                 raise UsageError(f"no training log at {path}")
-            logs.append(read_training_log(path))
+            logs.append(read_rows(path, TrainLogRow))
         plot_training(logs, args.out)
     else:
         rows, meta, world = load_trajectory(args.traj)

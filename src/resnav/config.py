@@ -16,13 +16,12 @@ written by hand.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError, bounded, check_fields, require
-from .fileio import read_json, write_atomically
+from .fileio import json_text, read_json, write_atomically
 from .policy import TRAINING_MODES
 from .prior import PriorParams
 from .td3 import Td3Config
@@ -75,16 +74,6 @@ class ExperimentConfig:
         require(len(set(self.seeds)) == len(self.seeds), f"seeds must be distinct, got {list(self.seeds)}")
 
 
-_SECTIONS = {
-    "worlds": WorldsConfig,
-    "worldgen": WorldGenParams,
-    "sensor": SensorConfig,
-    "episode": EpisodeConfig,
-    "prior": PriorParams,
-    "td3": Td3Config,
-    "evaluation": EvaluationConfig,
-}
-_TOP_KEYS = {"format", "mode", "seeds", "out_dir", *_SECTIONS}
 # (section, key) that no longer belong to that section -> where the setting lives now
 _MOVED_KEYS = {
     ("td3", "gamma"): "episode.gamma",
@@ -92,28 +81,23 @@ _MOVED_KEYS = {
 }
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigurationError(f"{section}: unknown key(s) {unknown}")
-
-
-def _build(name: str, cls, data: dict) -> object:
-    """cls(**data), with any ConfigurationError prefixed by the section name."""
-    try:
-        return cls(**data)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
-
-
-def _build_section(name: str, cls, data) -> object:
+def _from_dict(name: str, cls, data) -> object:
+    """cls built from a JSON object, its sections (fields with a default factory) built
+    the same way; each error is prefixed by the name of the section it is found in."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{name}: expected an object, got {type(data).__name__}")
     for key in data:
         if (name, key) in _MOVED_KEYS:
             raise ConfigurationError(f"{name}: {key} is not accepted here; use {_MOVED_KEYS[name, key]}")
-    _check_keys(name, data, {f.name for f in fields(cls)})
-    return _build(name, cls, data)
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"{name}: unknown key(s) {unknown}")
+    values = {f.name: _from_dict(f.name, f.default_factory, data.get(f.name, {}))
+              for f in fields(cls) if f.default_factory is not MISSING}
+    try:
+        return cls(**{**data, **values})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -121,24 +105,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError(f"config root must be an object, got {type(data).__name__}")
     if data.get("format") != EXP_FORMAT:
         raise ConfigurationError(f"unsupported config format {data.get('format')!r}")
-    _check_keys("config", data, _TOP_KEYS)
-    sections = {name: _build_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()}
-    top = {key: data[key] for key in ("mode", "seeds", "out_dir") if key in data}
-    return _build("config", ExperimentConfig, {**top, **sections})
+    return _from_dict("config", ExperimentConfig, {key: value for key, value in data.items() if key != "format"})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "format": EXP_FORMAT,
-        "mode": config.mode,
-        "seeds": list(config.seeds),
-        "out_dir": config.out_dir,
-        **{name: asdict(getattr(config, name)) for name in _SECTIONS},
-    }
+    return {"format": EXP_FORMAT, **asdict(config)}
 
 
 def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    return json_text(config_to_dict(config))
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:

@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig
 from .errors import ConfigurationError
+from .fileio import write_rows
 from .grid import ShortestPathOracle
 from .prior import PriorParams
-from .rollout import run_episode, write_csv
+from .rollout import run_episode
 from .world import WorldSpec
 
 
@@ -37,9 +38,6 @@ class EpisodeMetrics:
     path_length_m: float
     shortest_m: float
     spl_term: float | None  # None when the planner gave no usable length
-
-
-EPISODE_CSV_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
 
 
 def spl_term(success: bool, path_m: float, shortest_m: float) -> float | None:
@@ -108,8 +106,7 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
     def write_episode_csv(self, path: str | Path) -> None:
-        episodes = (e for res in self.results.values() for e in res.episodes)
-        write_csv(path, EPISODE_CSV_COLUMNS, map(astuple, episodes))
+        write_rows(path, EpisodeMetrics, (e for res in self.results.values() for e in res.episodes))
 
 
 def paired_episodes(label: str, envs: list[NavEnv], n_episodes: int, seed_base: int,

@@ -14,7 +14,6 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,14 +21,15 @@ from .errors import ConfigurationError, UsageError
 from .world import Circle, Rect, WorldSpec
 
 SQRT2 = math.sqrt(2.0)
-_CELL_ASPECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OccupancyGrid:
+    """Square cells of side cell (m) from the arena's origin; the last row and
+    column may end a fraction of a cell short of or beyond the arena."""
+
     occupied: np.ndarray  # bool, indexed [iy, ix]
-    width: float  # m
-    height: float  # m
+    cell: float  # m
 
     @property
     def rows(self) -> int:
@@ -39,25 +39,14 @@ class OccupancyGrid:
     def cols(self) -> int:
         return self.occupied.shape[1]
 
-    @cached_property
-    def cell_size(self) -> float:
-        """Metres per cell; requires square cells."""
-        cw = self.width / self.cols
-        ch = self.height / self.rows
-        if abs(cw - ch) > _CELL_ASPECT_TOL * max(cw, ch, 1.0):
-            raise ConfigurationError(
-                f"grid cells are not square ({cw} x {ch}); pick cols/rows matching the arena aspect"
-            )
-        return cw
-
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Cell (ix, iy) containing a world point, clipped to the grid."""
-        ix = min(max(int(x / (self.width / self.cols)), 0), self.cols - 1)
-        iy = min(max(int(y / (self.height / self.rows)), 0), self.rows - 1)
+        ix = min(max(int(x / self.cell), 0), self.cols - 1)
+        iy = min(max(int(y / self.cell), 0), self.rows - 1)
         return (ix, iy)
 
     def center_of(self, ix: int, iy: int) -> tuple[float, float]:
-        return ((ix + 0.5) * self.width / self.cols, (iy + 0.5) * self.height / self.rows)
+        return ((ix + 0.5) * self.cell, (iy + 0.5) * self.cell)
 
 
 def _window(lo: float, hi: float, cell: float) -> slice:
@@ -69,22 +58,23 @@ def _window(lo: float, hi: float, cell: float) -> slice:
     return slice(max(math.floor(lo / cell - 0.5), 0), max(math.floor(hi / cell - 0.5) + 2, 0))
 
 
-def rasterize(world: WorldSpec, cols: int, rows: int) -> OccupancyGrid:
-    """Rasterise a world to an inflated occupancy grid."""
-    if cols < 1 or rows < 1:
-        raise ConfigurationError(f"grid size must be positive, got {cols} x {rows}")
+def rasterize(world: WorldSpec, cell: float) -> OccupancyGrid:
+    """Rasterise a world to an inflated occupancy grid of round(side / cell) cells
+    (at least two) along each side."""
+    _check_cell(cell)
     r = world.robot_radius
-    cw, ch = world.width / cols, world.height / rows
+    cols = max(2, round(world.width / cell))
+    rows = max(2, round(world.height / cell))
     # every cell test is separable: x terms on a (1, cols) row of cell-centre
     # x values, y terms on a (rows, 1) column, broadcast into (rows, cols)
-    gx = ((np.arange(cols) + 0.5) * cw)[None, :]
-    gy = ((np.arange(rows) + 0.5) * ch)[:, None]
+    gx = ((np.arange(cols) + 0.5) * cell)[None, :]
+    gy = ((np.arange(rows) + 0.5) * cell)[:, None]
     occ = (gx < r) | (gx > world.width - r) | (gy < r) | (gy > world.height - r)
     for ob in world.obstacles:
         # an obstacle can only mark cells of its bounding box inflated by r
         if isinstance(ob, Rect):
-            sx = _window(ob.x_min - r, ob.x_max + r, cw)
-            sy = _window(ob.y_min - r, ob.y_max + r, ch)
+            sx = _window(ob.x_min - r, ob.x_max + r, cell)
+            sy = _window(ob.y_min - r, ob.y_max + r, cell)
             x, y = gx[:, sx], gy[sy]
             dx = np.maximum(np.maximum(ob.x_min - x, x - ob.x_max), 0.0)
             dy = np.maximum(np.maximum(ob.y_min - y, y - ob.y_max), 0.0)
@@ -92,11 +82,11 @@ def rasterize(world: WorldSpec, cols: int, rows: int) -> OccupancyGrid:
         else:
             assert isinstance(ob, Circle)
             reach = ob.r + r
-            sx = _window(ob.cx - reach, ob.cx + reach, cw)
-            sy = _window(ob.cy - reach, ob.cy + reach, ch)
+            sx = _window(ob.cx - reach, ob.cx + reach, cell)
+            sy = _window(ob.cy - reach, ob.cy + reach, cell)
             occ[sy, sx] |= (gx[:, sx] - ob.cx) ** 2 + (gy[sy] - ob.cy) ** 2 < reach ** 2
     occ.flags.writeable = False
-    return OccupancyGrid(occupied=occ, width=world.width, height=world.height)
+    return OccupancyGrid(occupied=occ, cell=cell)
 
 
 def _octile(ix: int, iy: int, gx: int, gy: int) -> float:
@@ -114,7 +104,7 @@ def astar_path(
     Runs until no open node can beat the best goal cost, so the returned
     length is the exact minimum over float-accumulated step costs.
     """
-    cell = grid.cell_size
+    cell = grid.cell
     rows, cols = grid.occupied.shape
     for name, (ix, iy) in (("start", start), ("goal", goal)):
         if not (0 <= ix < cols and 0 <= iy < rows):
@@ -259,10 +249,7 @@ def planner_grid(world: WorldSpec, cell: float) -> OccupancyGrid:
     """
     grid = world._planner.get(cell)
     if grid is None:
-        _check_cell(cell)
-        cols = max(2, round(world.width / cell))
-        rows = max(2, round(world.height / cell))
-        grid = world._planner[cell] = rasterize(world, cols, rows)
+        grid = world._planner[cell] = rasterize(world, cell)
     return grid
 
 

@@ -173,7 +173,8 @@ def controller_of(policy) -> tuple[str, Controller]:
 
 def make_policy(name: str, actor: Mlp | None = None, actor_kind: str | None = None,
                 n_passes: int = 100, single_pass: bool = False):
-    """Build the named controller (a CONTROLLERS key), checking the network kind against its checkpoint's.
+    """Build the named controller (a CONTROLLERS key), checking the network's kind and input width
+    against its checkpoint's training mode.
 
     actor_kind is the training-mode string stored in the checkpoint.
     n_passes and single_pass reach the classes whose options name them.
@@ -183,8 +184,10 @@ def make_policy(name: str, actor: Mlp | None = None, actor_kind: str | None = No
         return controller.policy()
     if actor is None:
         raise UsageError(f"{name} policy needs a trained network")
-    needed = controller.checkpoint.name
-    if actor_kind is not None and actor_kind != needed:
-        raise UsageError(f"{name} policy needs a {needed!r} checkpoint, got {actor_kind!r}")
+    needed = controller.checkpoint
+    if actor_kind is not None and actor_kind != needed.name:
+        raise UsageError(f"{name} policy needs a {needed.name!r} checkpoint, got {actor_kind!r}")
+    if actor.layer_sizes[0] != needed.obs_dim:
+        raise UsageError(f"{name} policy needs a network with {needed.obs_dim} inputs, got {actor.layer_sizes[0]}")
     options = {"n_passes": n_passes, "single_pass": single_pass}
     return controller.policy(actor, **{key: options[key] for key in controller.options})

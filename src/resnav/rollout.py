@@ -7,24 +7,19 @@ world description, so a trajectory file is replottable on its own.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .env import IDX_PREV_OMEGA, IDX_PREV_V, NavEnv, StepResult, Terminal, discounted_return, prior_of
 from .errors import ConfigurationError, UsageError
-from .fileio import read_json, write_atomically
+from .fileio import read_json, read_rows, write_json, write_rows
 from .policy import PolicyOutput, controller_of
 from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
-_TRAJ_TYPES = {"t": int, "used_prior_only": bool}
-_BOOLS = {"true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -44,9 +39,6 @@ class TrajectoryRow:
     epsilon: float | None = None
     used_prior_only: bool | None = None
     reward: float | None = None
-
-
-TRAJ_COLUMNS = tuple(f.name for f in fields(TrajectoryRow))
 
 
 @dataclass
@@ -128,90 +120,31 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
     )
 
 
-def csv_cell(value) -> str:
-    """One CSV field: empty for None, true/false for bools, repr for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: str | Path, columns, rows) -> None:
-    """A header line, then one line of csv_cell values per row; replaced atomically."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(columns)
-    writer.writerows([csv_cell(v) for v in row] for row in rows)
-    write_atomically(path, text.getvalue())
-
-
 def meta_path_for(path: str | Path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
 def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> None:
-    """Write the step CSV and its .meta.json sidecar next to it."""
-    path = Path(path)
-    write_csv(path, TRAJ_COLUMNS, map(astuple, record.rows))
-    meta = {
-        "format": TRAJ_FORMAT,
-        "mode": record.mode,
-        "seed": record.seed,
-        "terminal": record.terminal.name.lower(),
-        "success": record.success,
-        "steps": record.steps,
-        "path_length_m": record.path_length_m,
-        "discounted_return": record.discounted_return,
-        "start": list(record.start),
-        "goal": list(record.goal),
-        "goal_radius": env.episode.d_threshold,
-        "world": world_to_dict(env.world),
-    }
-    write_atomically(meta_path_for(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    """Write the step CSV and its .meta.json sidecar next to it.
 
-
-def read_csv(path: str | Path, columns, types: dict, required: int = 0) -> list[tuple]:
-    """The rows of a CSV written by write_csv, one tuple of typed cells per line.
-
-    The header must equal columns. types maps a column to int or bool
-    (true/false); other columns are float. An empty cell reads as None,
-    except in the first `required` columns, where it is an error.
+    The sidecar holds every field of the record but its rows, the goal
+    radius and the world.
     """
     path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"no such file: {path}")
-    kinds = [types.get(name, float) for name in columns]
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(columns):
-            raise ConfigurationError(f"{path}: unexpected header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(columns):
-                raise ConfigurationError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(rec)}")
-            row = []
-            for i, (name, kind, raw) in enumerate(zip(columns, kinds, rec)):
-                if raw == "":
-                    if i < required:
-                        raise ConfigurationError(f"{path}:{lineno}: missing {name}")
-                    row.append(None)
-                    continue
-                try:
-                    row.append(_BOOLS[raw] if kind is bool else kind(raw))
-                except (KeyError, ValueError) as exc:
-                    raise ConfigurationError(f"{path}:{lineno}: bad {name} field {raw!r}") from exc
-            rows.append(tuple(row))
-    return rows
+    write_rows(path, TrajectoryRow, record.rows)
+    write_json(meta_path_for(path), {
+        **{f.name: getattr(record, f.name) for f in fields(record) if f.name != "rows"},
+        "format": TRAJ_FORMAT,
+        "terminal": record.terminal.value,
+        "goal_radius": env.episode.d_threshold,
+        "world": world_to_dict(env.world),
+    })
 
 
 def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict, WorldSpec]:
     """Read a trajectory CSV plus sidecar; validates both, returns rows, sidecar and its world."""
     path = Path(path)
-    rows = [TrajectoryRow(*cells) for cells in read_csv(path, TRAJ_COLUMNS, _TRAJ_TYPES, required=4)]
+    rows = read_rows(path, TrajectoryRow)
     if not rows or rows[0].t != 0:
         raise ConfigurationError(f"{path}: trajectory must begin with a t=0 start row")
     for i, row in enumerate(rows):

@@ -8,9 +8,8 @@ Rewards are the environment's sparse success signal; nothing is shaped.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +18,16 @@ from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from .errors import ConfigurationError, TrainingDiverged, UsageError, bounded, check_fields, require
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
-from .fileio import read_json, write_atomically
+from .fileio import read_json, read_rows, write_json, write_rows
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
 from .policy import TRAINING_MODES, make_policy
 from .prior import PriorParams
-from .rollout import drive, read_csv, write_csv
+from .rollout import drive
 from .world import WorldSpec
 
 ACTION_DIM = 2
 #: the learner's dtype: networks, gradients, optimiser state and replay rows
 LEARNER_DTYPE = np.float32
-TRAIN_LOG_COLUMNS = ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
-_LOG_TYPES = {"episode": int, "steps": int, "success": int}
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,7 @@ class TrainLogRow:
     steps: int
     path_length_m: float
     success: int
-    ret: float
+    ret: float = field(metadata={"column": "return"})
     eval_success: float | None = None
     eval_spl: float | None = None
 
@@ -253,14 +250,6 @@ class TrainResult:
     log: list[TrainLogRow]
     checkpoint_path: Path | None = None
     log_path: Path | None = None
-
-
-def write_training_log(rows: list[TrainLogRow], path: str | Path) -> None:
-    write_csv(path, TRAIN_LOG_COLUMNS, map(astuple, rows))
-
-
-def read_training_log(path: str | Path) -> list[TrainLogRow]:
-    return [TrainLogRow(*cells) for cells in read_csv(path, TRAIN_LOG_COLUMNS, _LOG_TYPES, required=5)]
 
 
 def widened(net: Mlp) -> Mlp:
@@ -281,7 +270,7 @@ def _check_finite(out_dir: Path | None, name: str, loss: float, episode: int, st
     if not math.isfinite(loss):
         info = {"episode": episode, "step": step, f"{name}_loss": loss, "seed": seed}
         if out_dir is not None:
-            write_atomically(out_dir / "divergence.json", json.dumps(info, indent=2, sort_keys=True) + "\n")
+            write_json(out_dir / "divergence.json", info)
         raise TrainingDiverged(f"{name} loss diverged at episode {episode}", info)
 
 
@@ -391,7 +380,7 @@ def train(
         ckpt_path = out_path / "actor.ckpt"
         save_checkpoint(actor, mode, ckpt_path)
         log_path = out_path / "train_log.csv"
-        write_training_log(history + log, log_path)
+        write_rows(log_path, TrainLogRow, history + log)
     return TrainResult(actor=actor, mode=mode, log=log, checkpoint_path=ckpt_path, log_path=log_path)
 
 
@@ -401,8 +390,8 @@ def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRo
     save_checkpoint(nets.actor, mode, snap / "actor.ckpt")
     for k in (0, 1):
         save_checkpoint(nets.critics.row(k), mode, snap / f"critic{k + 1}.ckpt")
-    write_training_log(log, snap / "train_log.csv")
-    write_atomically(snap / "state.json", json.dumps({"episode": log[-1].episode, "mode": mode}) + "\n")
+    write_rows(snap / "train_log.csv", TrainLogRow, log)
+    write_json(snap / "state.json", {"episode": log[-1].episode, "mode": mode})
 
 
 def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets, int, list[TrainLogRow]]:
@@ -428,5 +417,5 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
         raise ConfigurationError(f"snapshot actor has dropout_p={actor.dropout_p}, "
                                  f"the config has dropout_p={config.dropout_p}")
     log_file = snap / "train_log.csv"
-    history = read_training_log(log_file) if log_file.exists() else []
+    history = read_rows(log_file, TrainLogRow) if log_file.exists() else []
     return Td3Nets.from_networks(actor, critic1, critic2, config), episode + 1, history

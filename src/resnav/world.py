@@ -9,7 +9,6 @@ cached on it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .fileio import read_json, write_atomically
+from .fileio import json_text, read_json, write_atomically
 
 WORLD_FORMAT = "world/1"
 TWO_PI = 2.0 * math.pi
@@ -375,7 +374,7 @@ def world_from_dict(d: dict) -> WorldSpec:
 
 
 def world_to_json(world: WorldSpec) -> str:
-    return json.dumps(world_to_dict(world), indent=2, sort_keys=True) + "\n"
+    return json_text(world_to_dict(world))
 
 
 def save_world(world: WorldSpec, path: str | Path) -> None:

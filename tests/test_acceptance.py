@@ -35,6 +35,7 @@ from resnav.env import (
     SensorConfig,
 )
 from resnav.evaluation import evaluate
+from resnav.fileio import read_rows
 from resnav.grid import OccupancyGrid, ShortestPathOracle, astar_shortest
 from resnav.nn import Adam, Mlp, load_checkpoint
 from resnav.plots import plot_components, plot_trajectory, plot_training
@@ -48,7 +49,7 @@ from resnav.policy import (
 )
 from resnav.prior import PriorParams
 from resnav.rollout import policy_rng, run_episode, save_trajectory
-from resnav.td3 import EVAL_SEED_OFFSET, Td3Config, read_training_log, train
+from resnav.td3 import EVAL_SEED_OFFSET, Td3Config, TrainLogRow, train
 from resnav.world import Circle, Pose, Rect, WorldSpec, point_clear, raycast_angles
 from resnav.worldgen import WorldGenParams, generate_suite
 
@@ -167,7 +168,7 @@ def trained_runs(train_suite, tmp_path_factory):
         (mode, seed): TrainedRun(
             mode=mode,
             seed=seed,
-            log=read_training_log(out / "train_log.csv"),
+            log=read_rows(out / "train_log.csv", TrainLogRow),
             actor_path=out / "actor.ckpt",
         )
         for (mode, seed), out in outs.items()
@@ -325,7 +326,7 @@ def _dijkstra_shortest(grid: OccupancyGrid, start, goal) -> float:
         if d > dist[iy, ix]:
             continue
         if (ix, iy) == goal:
-            return d * grid.cell_size
+            return d * grid.cell
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 if dx == 0 and dy == 0:
@@ -402,7 +403,7 @@ def test_planner_and_raycast_match_independent_references():
         si, gi = rng.choice(free.shape[0], size=2, replace=False)
         start = (int(free[si][1]), int(free[si][0]))
         goal = (int(free[gi][1]), int(free[gi][0]))
-        grid = OccupancyGrid(occupied=occ, width=5.0, height=5.0)
+        grid = OccupancyGrid(occupied=occ, cell=0.1)
         got = astar_shortest(grid, start, goal)
         want = _dijkstra_shortest(grid, start, goal)
         assert got == want or (math.isinf(got) and math.isinf(want)), (

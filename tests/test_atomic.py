@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from resnav import fileio
-from resnav.fileio import write_atomically
+from resnav.fileio import read_rows, write_atomically, write_rows
 from resnav.nn import Mlp, load_checkpoint, save_checkpoint
-from resnav.td3 import TrainLogRow, read_training_log, write_training_log
+from resnav.td3 import TrainLogRow
 from resnav.world import load_world, save_world
 from resnav.worldgen import WorldGenParams, generate_suite
 
@@ -45,12 +45,12 @@ def test_training_log_survives_a_failed_rewrite(tmp_path):
     path = tmp_path / "train_log.csv"
     rows = [TrainLogRow(1, 30, 2.5, 0, 0.0),
             TrainLogRow(2, 12, 1.25, 1, 0.5, eval_success=0.5, eval_spl=0.25)]
-    write_training_log(rows, path)
+    write_rows(path, TrainLogRow, rows)
     before = path.read_bytes()
     with pytest.raises(TypeError):
-        write_training_log([TrainLogRow(3, 7, 0.75, 1, 0.9), None], path)  # fails after one new row
+        write_rows(path, TrainLogRow, [TrainLogRow(3, 7, 0.75, 1, 0.9), None])  # fails after one new row
     assert path.read_bytes() == before
-    assert read_training_log(path) == rows
+    assert read_rows(path, TrainLogRow) == rows
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
 
 

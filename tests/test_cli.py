@@ -17,10 +17,11 @@ from resnav import cli
 from resnav.cli import main
 from resnav.config import ExperimentConfig, load_config
 from resnav.errors import ConfigurationError
+from resnav.fileio import read_rows
 from resnav.grid import ShortestPathOracle
 from resnav.nn import load_checkpoint, save_checkpoint
 from resnav.policy import CONTROLLERS, TRAINING_MODES
-from resnav.td3 import read_training_log, train
+from resnav.td3 import TrainLogRow, train
 from resnav.worldgen import load_suite
 
 REPO = Path(__file__).resolve().parents[1]
@@ -218,6 +219,16 @@ class TestImpossibleInputs:
         assert main(["eval", "--config", str(_variant(config, tmp_path)), "--controllers", "gated"]) == 2
         assert capsys.readouterr().err == f"error: {ckpt}: 2 parameter(s) are not finite\n"
 
+    def test_eval_rejects_a_mislabelled_checkpoint_at_load(self, workspace, tmp_path, capsys, monkeypatch):
+        root, config = workspace
+        actor, _kind = load_checkpoint(root / "runs" / "residual" / "seed0" / "actor.ckpt")
+        ckpt = tmp_path / "runs" / "end_to_end" / "seed0" / "actor.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        save_checkpoint(actor, "end_to_end", ckpt)  # a 21-input residual actor under the end-to-end tag
+        monkeypatch.setattr(cli, "evaluate", None)  # refused before any episode runs
+        assert main(["eval", "--config", str(_variant(config, tmp_path)), "--controllers", "end_to_end"]) == 2
+        assert capsys.readouterr().err == "error: end_to_end policy needs a network with 19 inputs, got 21\n"
+
 
 def _option(command: str, flag: str) -> argparse.Action:
     parser = cli.build_parser()
@@ -264,7 +275,7 @@ def test_train_scores_its_curve_on_the_evaluation_grid(tmp_path, monkeypatch):
     monkeypatch.setattr("resnav.td3.ShortestPathOracle", None)  # train may not build its own
     assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
     assert cells == [0.2]
-    logged = read_training_log(tmp_path / "run" / "train_log.csv")
+    logged = read_rows(tmp_path / "run" / "train_log.csv", TrainLogRow)
 
     config = load_config(config_path)
     worlds = load_suite(config.worlds.train_dir)

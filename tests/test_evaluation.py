@@ -1,6 +1,7 @@
 """Tests for the paired evaluation harness and its aggregates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from resnav.env import E2E_OBS_DIM, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv
 from resnav.errors import ConfigurationError
 from resnav.evaluation import (
-    EPISODE_CSV_COLUMNS,
     EpisodeMetrics,
     ModeResult,
     evaluate,
@@ -140,7 +140,7 @@ class TestEvaluate:
         path = tmp_path / "episodes.csv"
         result.write_episode_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(EPISODE_CSV_COLUMNS)
+        assert lines[0] == ",".join(f.name for f in fields(EpisodeMetrics))
         assert len(lines) == 1 + 2 * 2
 
     def test_unreachable_goal_warns_and_zeroes_spl(self):

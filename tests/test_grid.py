@@ -115,12 +115,11 @@ def reference_astar_path(grid: OccupancyGrid, start, goal):
         node = (int(enc % cols), int(enc // cols))
         path.append(node)
     path.reverse()
-    return (best * grid.cell_size, path)
+    return (best * grid.cell, path)
 
 
 def grid_from_bool(occ: np.ndarray, cell: float) -> OccupancyGrid:
-    rows, cols = occ.shape
-    return OccupancyGrid(occupied=occ, width=cols * cell, height=rows * cell)
+    return OccupancyGrid(occupied=occ, cell=cell)
 
 
 def region_corner_world(side=10.0, obstacles=(), robot_radius=0.1):
@@ -131,7 +130,7 @@ def region_corner_world(side=10.0, obstacles=(), robot_radius=0.1):
 class TestRasterize:
     def test_empty_world_boundary_band_only(self):
         w = region_corner_world(robot_radius=0.3)
-        g = rasterize(w, 100, 100)  # 0.1 m cells
+        g = rasterize(w, 0.1)  # 100 x 100 cells
         occ = g.occupied
         # boundary band: centres within 0.3 m of a wall -> first/last 3 cells
         assert occ[:3, :].all() and occ[-3:, :].all()
@@ -142,13 +141,13 @@ class TestRasterize:
         # bypass region validation concerns with a world whose obstacle covers
         # all cell centres but leaves the region corners clear
         w = region_corner_world(4.0, obstacles=(Circle(2.0, 2.0, 1.0),), robot_radius=0.1)
-        g = rasterize(w, 4, 4)  # 1 m cells; all four centre cells inside circle+r
+        g = rasterize(w, 1.0)  # 4 x 4 cells; all four centre cells inside circle+r
         assert g.occupied[1:3, 1:3].all()
 
     def test_resolution_doubling_stable_away_from_boundaries(self):
         w = region_corner_world(8.0, obstacles=(Circle(4.0, 4.0, 0.8), Rect(1.5, 5.0, 2.5, 6.0)))
-        coarse = rasterize(w, 80, 80)
-        fine = rasterize(w, 160, 160)
+        coarse = rasterize(w, 0.1)
+        fine = rasterize(w, 0.05)
         diag = math.hypot(0.1, 0.1)
 
         def analytic_signed(x, y):
@@ -246,7 +245,7 @@ class TestAstar:
         rng = np.random.default_rng(17)
         grids = []
         for world in generate_suite(WorldGenParams(), 10, 23):
-            grid = rasterize(world, 80, 80)
+            grid = rasterize(world, 0.1)
             walled = grid.occupied.copy()
             walled[:, 40] = True  # splits the arena: pairs across it are unreachable
             grids += [grid, grid_from_bool(walled, 0.1)]
@@ -330,7 +329,7 @@ class TestShortestPathOracle:
         gen_cell, eval_cell = 0.1, 0.2
         calls = []
         monkeypatch.setattr("resnav.grid.rasterize",
-                            lambda world, cols, rows: calls.append((world, cols)) or rasterize(world, cols, rows))
+                            lambda world, cell: calls.append((world, cell)) or rasterize(world, cell))
         worlds = generate_suite(WorldGenParams(planner_cell=gen_cell), 3, 5)
         evaluate(worlds, {"prior": PriorPolicy(), "random": RandomPolicy()}, 6,
                  episode_config=EpisodeConfig(max_steps=30), oracle=ShortestPathOracle(eval_cell))
@@ -338,10 +337,10 @@ class TestShortestPathOracle:
             meta = {"start": world.start_region.center, "goal": world.goal_region.center}
             for cell in (gen_cell, eval_cell):
                 assert _planner_overlay(world, meta, cell)
-        keys = [(id(world), cols) for world, cols in calls]
+        keys = [(id(world), cell) for world, cell in calls]
         assert len(keys) == len(set(keys)), "a world was rasterised twice at one cell"
         for world in worlds:
-            assert sorted(cols for w, cols in calls if w is world) == [40, 80]
+            assert sorted(cell for w, cell in calls if w is world) == [gen_cell, eval_cell]
 
     def test_value_equal_world_builds_its_own_grid(self):
         world = generate_suite(WorldGenParams(), 1, 3)[0]
@@ -359,7 +358,7 @@ class TestShortestPathOracle:
         # allocated at the same address; it must still get its own grid
         for seed in range(30):
             grid = planner_grid(generate_suite(WorldGenParams(), 1, seed)[0], 0.1)
-            fresh = rasterize(generate_suite(WorldGenParams(), 1, seed)[0], grid.cols, grid.rows)
+            fresh = rasterize(generate_suite(WorldGenParams(), 1, seed)[0], grid.cell)
             assert np.array_equal(grid.occupied, fresh.occupied), f"stale grid for world seed {seed}"
 
     def test_oracle_keeps_only_its_cell(self, monkeypatch):
@@ -389,3 +388,19 @@ class TestShortestPathOracle:
             ShortestPathOracle(cell)
         with pytest.raises(ConfigurationError, match="cell size"):
             planner_grid(generate_suite(WorldGenParams(), 1, 3)[0], cell)
+
+    def test_rectangular_arena_at_a_cell_that_divides_neither_side(self):
+        # 8 / 0.07 and 6 / 0.07 are not whole: round(side / cell) cells of exactly 0.07 m
+        cell = 0.07
+        worlds = generate_suite(WorldGenParams(width=8.0, height=6.0, planner_cell=cell), 2, 4)
+        result = evaluate(worlds, {"prior": PriorPolicy()}, 4, episode_config=EpisodeConfig(max_steps=60),
+                          oracle=ShortestPathOracle(cell))
+        assert all(e.spl_term is not None and 0.0 < e.shortest_m < math.inf for e in result["prior"].episodes)
+        grid = planner_grid(worlds[0], cell)
+        assert (grid.cols, grid.rows, grid.cell) == (114, 86, cell)
+        for x, y in ((0.0, 0.0), (3.99, 2.01), (7.97, 5.99)):  # the 114 columns end at 7.98 m
+            cx, cy = grid.center_of(*grid.cell_of(x, y))
+            assert abs(cx - x) <= cell / 2 + 1e-12 and abs(cy - y) <= cell / 2 + 1e-12
+        # the boundary band is robot_radius wide on every side, whatever the cell
+        gx = (np.arange(grid.cols) + 0.5) * cell
+        assert grid.occupied[grid.rows // 2, gx > 8.0 - worlds[0].robot_radius].all()

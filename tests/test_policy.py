@@ -261,8 +261,17 @@ class TestMakePolicy:
         actor = make_actor(dropout=0.2)
         assert isinstance(make_policy("residual", actor=actor, actor_kind="residual"), ResidualPolicy)
         assert isinstance(make_policy("gated", actor=actor, actor_kind="residual"), GatedResidualPolicy)
-        e2e = make_policy("end_to_end", actor=make_actor(dropout=0.0), actor_kind="end_to_end")
+        e2e_actor = Mlp([E2E_OBS_DIM, 16, 2], "tanh", 0.0, rng=np.random.default_rng(0))
+        e2e = make_policy("end_to_end", actor=e2e_actor, actor_kind="end_to_end")
         assert isinstance(e2e, EndToEndPolicy)
+
+    @pytest.mark.parametrize("name, inputs", [("residual", E2E_OBS_DIM), ("gated", E2E_OBS_DIM),
+                                              ("end_to_end", RESIDUAL_OBS_DIM)])
+    def test_network_width_must_match_the_training_mode(self, name, inputs):
+        actor = Mlp([inputs, 16, 2], "tanh", 0.2, rng=np.random.default_rng(0))
+        needed = CONTROLLERS[name].checkpoint.obs_dim
+        with pytest.raises(UsageError, match=f"^{name} policy needs a network with {needed} inputs, got {inputs}$"):
+            make_policy(name, actor=actor, actor_kind=CONTROLLERS[name].checkpoint.name)
 
 
 class TestControllerTable:

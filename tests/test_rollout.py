@@ -2,27 +2,21 @@
 
 import json
 import math
-from dataclasses import astuple
+import typing
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 from resnav.env import E2E_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from resnav.errors import ConfigurationError, UsageError
+from resnav.evaluation import EpisodeMetrics
+from resnav.fileio import read_rows, write_rows
 from resnav.nn import Mlp
 from resnav.plots import plot_components
 from resnav.policy import EndToEndPolicy, GatedResidualPolicy, PriorPolicy, RandomPolicy
-from resnav.rollout import (
-    TRAJ_COLUMNS,
-    load_trajectory,
-    meta_path_for,
-    policy_rng,
-    read_csv,
-    run_episode,
-    save_trajectory,
-    write_csv,
-)
-from resnav.td3 import TRAIN_LOG_COLUMNS, TrainLogRow
+from resnav.rollout import TrajectoryRow, load_trajectory, meta_path_for, policy_rng, run_episode, save_trajectory
+from resnav.td3 import TrainLogRow
 
 from conftest import make_cluttered_world, make_empty_world
 
@@ -151,7 +145,7 @@ class TestTrajectoryFiles:
 
     def test_wrong_field_count_reports_line(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text(",".join(TRAJ_COLUMNS) + "\n1,2\n")
+        p.write_text(",".join(f.name for f in fields(TrajectoryRow)) + "\n1,2\n")
         with pytest.raises(ConfigurationError, match=":2"):
             load_trajectory(p)
 
@@ -223,30 +217,87 @@ class TestTrajectoryFiles:
             load_trajectory(path)
 
 
-class TestReadCsv:
-    def test_round_trips_both_file_kinds(self, tmp_path):
-        env = residual_env(make_cluttered_world(), max_steps=60)
-        actor = Mlp([21, 16, 16, 2], "tanh", 0.3, rng=np.random.default_rng(3))
-        record = run_episode(env, GatedResidualPolicy(actor, n_passes=20), seed=2)
-        log = [TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.9**11, 0.5, 0.25)]
-        for columns, types, rows in (
-            (TRAJ_COLUMNS, {"t": int, "used_prior_only": bool}, [astuple(r) for r in record.rows]),
-            (TRAIN_LOG_COLUMNS, {"episode": int, "steps": int, "success": int}, [astuple(r) for r in log]),
-        ):
-            first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-            write_csv(first, columns, rows)
-            read = read_csv(first, columns, types)
-            assert read == rows
-            assert [type(v) for v in read[-1]] == [type(v) for v in rows[-1]]
-            write_csv(second, columns, read)
-            assert second.read_bytes() == first.read_bytes()
+def cell_kinds(cls) -> dict[str, tuple[type, bool]]:
+    """Field name -> (cell kind, may be empty), read off the row class's annotations."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        kinds[name] = (next(a for a in args if a is not type(None)), True) if args else (hint, False)
+    return kinds
+
+
+def gated_rows() -> list[TrajectoryRow]:
+    env = residual_env(make_cluttered_world(), max_steps=60)
+    actor = Mlp([21, 16, 16, 2], "tanh", 0.3, rng=np.random.default_rng(3))
+    for w in actor.weights:
+        w *= 10.0  # so that the gate both fires and holds within the episode
+    return run_episode(env, GatedResidualPolicy(actor, n_passes=20), seed=2).rows
+
+
+# one table of each row class, holding empty (None), bool and int cells where the class has them
+ROW_TABLES = {
+    TrajectoryRow: gated_rows,
+    TrainLogRow: lambda: [TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.9**11, 0.5, 0.25)],
+    EpisodeMetrics: lambda: [EpisodeMetrics("gated", 0, 7, 1, True, 12, 1.2, 3.5, 3.0, 3.0 / 3.5),
+                             EpisodeMetrics("prior", 1, 8, 0, False, 300, 30.0, 9.1, 0.0, None)],
+}
+
+
+class TestRowCsv:
+    """A row class is its CSV's schema: columns, cell kinds and which cells may be empty."""
+
+    @pytest.mark.parametrize("cls", list(ROW_TABLES), ids=lambda c: c.__name__)
+    def test_round_trip_keeps_every_cell_and_its_kind(self, tmp_path, cls):
+        rows = ROW_TABLES[cls]()
+        kinds = cell_kinds(cls)
+        seen = {type(v) for row in rows for v in astuple(row)}
+        assert type(None) in seen and int in seen
+        assert bool in seen or bool not in {kind for kind, _ in kinds.values()}
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_rows(first, cls, rows)
+        read = read_rows(first, cls)
+        assert read == rows
+        for row in read:
+            for name, (kind, optional) in kinds.items():
+                value = getattr(row, name)
+                assert type(value) is kind or (optional and value is None), (name, value)
+        write_rows(second, cls, read)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_is_the_field_names_with_renamed_columns(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_rows(path, TrainLogRow, [])
+        assert path.read_text().splitlines() == ["episode,steps,path_length_m,success,return,eval_success,eval_spl"]
+        write_rows(path, TrajectoryRow, [])
+        assert path.read_text().splitlines() == [",".join(f.name for f in fields(TrajectoryRow))]
+
+    @pytest.mark.parametrize("cls", list(ROW_TABLES), ids=lambda c: c.__name__)
+    def test_only_fields_that_admit_none_may_be_empty(self, tmp_path, cls):
+        path = tmp_path / "x.csv"
+        row = ROW_TABLES[cls]()[-1]
+        for i, (name, (_kind, optional)) in enumerate(cell_kinds(cls).items()):
+            write_rows(path, cls, [row])
+            lines = path.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[i] = ""
+            path.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+            if optional:
+                assert read_rows(path, cls) == [replace(row, **{name: None})]
+            else:
+                with pytest.raises(ConfigurationError, match=f":2: missing {lines[0].split(',')[i]}$"):
+                    read_rows(path, cls)
 
     def test_bad_boolean_names_the_column_and_line(self, tmp_path):
+        @dataclass
+        class Flagged:
+            a: float
+            flag: bool
+
         path = tmp_path / "x.csv"
         path.write_text("a,flag\n1.0,true\n2.0,maybe\n")
         with pytest.raises(ConfigurationError, match=":3: bad flag field 'maybe'"):
-            read_csv(path, ("a", "flag"), {"flag": bool})
+            read_rows(path, Flagged)
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="absent.csv"):
-            read_csv(tmp_path / "absent.csv", TRAJ_COLUMNS, {})
+            read_rows(tmp_path / "absent.csv", TrajectoryRow)

@@ -11,6 +11,7 @@ import pytest
 from resnav.env import EpisodeConfig, NavEnv, SensorConfig, Terminal
 from resnav.errors import ConfigurationError, TrainingDiverged, UsageError
 from resnav.evaluation import evaluate, paired_episodes
+from resnav.fileio import read_rows, write_rows
 from resnav.grid import ShortestPathOracle
 from resnav.nn import Adam, Mlp, load_checkpoint, polyak_update
 from resnav.policy import TRAINING_MODES, EndToEndPolicy, ResidualPolicy
@@ -26,10 +27,8 @@ from resnav.td3 import (
     bootstrap_mask,
     critic_update,
     greedy_episode,
-    read_training_log,
     train,
     widened,
-    write_training_log,
 )
 
 from conftest import FLOAT32_AGREEMENT, make_cluttered_world, make_empty_world, param_grad, relative_error
@@ -501,7 +500,7 @@ class TestTrain:
             assert row.path_length_m >= 0.0
         assert res.log[1].eval_success is not None
         assert res.log[0].eval_success is None
-        parsed = read_training_log(res.log_path)
+        parsed = read_rows(res.log_path, TrainLogRow)
         assert parsed == res.log
 
     def test_resume_continues_from_snapshot(self, tmp_path):
@@ -689,14 +688,14 @@ class TestTrainingLogIo:
             TrainLogRow(2, 12, 1.25, 1, 0.99**11, eval_success=0.5, eval_spl=0.25),
         ]
         path = tmp_path / "log.csv"
-        write_training_log(rows, path)
-        assert read_training_log(path) == rows
+        write_rows(path, TrainLogRow, rows)
+        assert read_rows(path, TrainLogRow) == rows
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(ConfigurationError, match="header"):
-            read_training_log(path)
+            read_rows(path, TrainLogRow)
 
     def test_bad_field_reports_line(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -704,18 +703,18 @@ class TestTrainingLogIo:
             ("episode", "steps", "path_length_m", "success", "return", "eval_success", "eval_spl")
         ) + "\n1,2,abc,0,0.0,,\n")
         with pytest.raises(ConfigurationError, match=":2"):
-            read_training_log(path)
+            read_rows(path, TrainLogRow)
 
     @pytest.mark.parametrize("column", range(5))
     def test_empty_required_cell_reports_line(self, tmp_path, column):
         path = tmp_path / "log.csv"
-        write_training_log([TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.5)], path)
+        write_rows(path, TrainLogRow, [TrainLogRow(1, 30, 2.5, 0, 0.0), TrainLogRow(2, 12, 1.25, 1, 0.5)])
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[column] = ""
         path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
         with pytest.raises(ConfigurationError, match=f":3: missing {lines[0].split(',')[column]}"):
-            read_training_log(path)
+            read_rows(path, TrainLogRow)
 
 
 class TestResumeLog:
@@ -728,7 +727,7 @@ class TestResumeLog:
         resumed = train([world], "residual", small_config(total_episodes=6, eval_every=2),
                         episode_config=episode, seed=9, out_dir=out, resume_from=out,
                         oracle=ShortestPathOracle(0.25))
-        rows = read_training_log(out / "train_log.csv")
+        rows = read_rows(out / "train_log.csv", TrainLogRow)
         assert [r.episode for r in rows] == [1, 2, 3, 4, 5, 6]
         assert rows[:4] == first.log
         assert rows[4:] == resumed.log

@@ -186,11 +186,11 @@ def astar_reachable(world, params):
         return False
 
 
-def meshgrid_rasterize(world, cols, rows):
+def meshgrid_rasterize(world, cell):
     """Occupancy from full (rows, cols) coordinate arrays, one test per cell."""
     r = world.robot_radius
-    xs = (np.arange(cols) + 0.5) * (world.width / cols)
-    ys = (np.arange(rows) + 0.5) * (world.height / rows)
+    xs = (np.arange(max(2, round(world.width / cell))) + 0.5) * cell
+    ys = (np.arange(max(2, round(world.height / cell))) + 0.5) * cell
     gx, gy = np.meshgrid(xs, ys)
     occ = (gx < r) | (gx > world.width - r) | (gy < r) | (gy > world.height - r)
     for ob in world.obstacles:
@@ -280,8 +280,8 @@ EDGE_WORLDS = [
               (Rect(0.0, 0.0, 1.0, 1.2), Rect(7.1, 3.0, 8.0, 4.0), Rect(2.5, 7.4, 5.0, 8.0),
                Circle(0.5, 7.5, 0.5), Circle(4.0, 0.4, 0.4), Circle(7.6, 6.0, 0.4)),
               Rect(3.5, 3.5, 4.5, 4.5), Rect(5.5, 5.0, 6.5, 6.0)),
-    # at 16 x 20 (0.5 m x 0.4 m cells) inflated box edges fall on cell centres:
-    # x = 1.75, 3.25, 5.25 and 6.75, y = 2.2, 3.8 and 5.8
+    # inflated box edges fall on cell centres: at 0.5 m cells x = 1.75, 3.25,
+    # 5.25 and 6.75, at 0.4 m cells y = 2.2, 3.8 and 5.8
     WorldSpec(8.0, 8.0, 0.25,
               (Rect(2.0, 2.45, 3.0, 3.55), Circle(6.0, 2.0, 0.5), Rect(0.0, 6.05, 1.5, 8.0)),
               Rect(3.5, 3.5, 4.5, 4.5), Rect(5.0, 6.0, 7.0, 7.0)),
@@ -293,9 +293,10 @@ EDGE_WORLDS = [
 
 
 class TestRasterize:
-    @pytest.mark.parametrize("cols, rows", [(120, 120), (37, 37), (90, 61), (17, 44), (16, 16),
-                                            (1, 9), (1, 1), (16, 20), (32, 40), (160, 100), (9, 1)])
-    def test_matches_meshgrid_reference(self, cols, rows):
+    # 8 / 0.0667 and 8 / 0.2162 round to 120 and 37 cells; 0.07 and 0.13 divide
+    # no side; 2.5 and 5.0 give grids of two or three cells a side
+    @pytest.mark.parametrize("cell", [0.05, 0.0667, 0.07, 0.1, 0.13, 0.2162, 0.25, 0.4, 0.5, 2.5, 5.0])
+    def test_matches_meshgrid_reference(self, cell):
         params = WorldGenParams()
         worlds = [
             *generate_suite(params, 6, seed=8),
@@ -305,7 +306,7 @@ class TestRasterize:
             WorldSpec(params.width, params.height, params.robot_radius,
                       (Circle(2.0, 2.5, 0.6), Circle(6.1, 5.0, 0.3), Circle(1.5, 5.6, 0.45)),
                       params.start_region(), params.goal_region("north")),  # circles only
-            # at 16 x 16, cell centres sit exactly robot_radius from walls and rectangle sides
+            # at 0.5 m cells, cell centres sit exactly robot_radius from walls and rectangle sides
             WorldSpec(8.0, 8.0, 0.25, (Rect(2.0, 2.0, 3.0, 3.0), Circle(6.0, 2.0, 0.5)),
                       Rect(3.5, 3.5, 4.5, 4.5), Rect(1.0, 6.5, 7.0, 7.0)),
             *EDGE_WORLDS,
@@ -313,7 +314,7 @@ class TestRasterize:
         kinds = set()
         for world in worlds:
             kinds.add(frozenset(type(ob) for ob in world.obstacles))
-            got = rasterize(world, cols, rows).occupied
-            assert got.shape == (rows, cols)
-            assert np.array_equal(got, meshgrid_rasterize(world, cols, rows))
+            got = rasterize(world, cell).occupied
+            assert got.shape == (max(2, round(world.height / cell)), max(2, round(world.width / cell)))
+            assert np.array_equal(got, meshgrid_rasterize(world, cell))
         assert kinds >= {frozenset(), frozenset({Rect}), frozenset({Circle}), frozenset({Rect, Circle})}
