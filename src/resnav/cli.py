@@ -121,7 +121,6 @@ def cmd_init_config(args) -> int:
     out = Path(args.out)
     if out.exists():
         raise UsageError(f"{out} already exists; remove it first")
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_config(ExperimentConfig(), out)
     print(f"wrote {out}")
     return 0
@@ -182,7 +181,6 @@ def cmd_eval(args) -> int:
         oracle=ShortestPathOracle(config.evaluation.grid_cell),
     )
     out = Path(args.out) if args.out else Path(config.out_dir) / f"eval_{args.worlds}_seed{seed}"
-    out.mkdir(parents=True, exist_ok=True)
     report = result.report()
     write_atomically(out / "report.txt", report)
     result.write_episode_csv(out / "episodes.csv")
@@ -201,7 +199,6 @@ def cmd_rollout(args) -> int:
     env = NavEnv(worlds[args.world_index], config.episode, config.sensor, config.prior)
     record = run_episode(env, policy, eval_seed(config.evaluation.seed_base, args.episode_seed))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_trajectory(record, env, out)
     print(f"{args.controller}: {record.terminal.name.lower()} after {record.steps} steps, "
           f"path {record.path_length_m:.2f} m")
@@ -209,11 +206,11 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _planner_overlay(world: WorldSpec, meta: dict, cell: float):
+def _planner_overlay(world: WorldSpec, start: tuple[float, float], goal: tuple[float, float], cell: float):
     grid = planner_grid(world, cell)
-    start = nearest_free_cell(grid, *grid.cell_of(*meta["start"]))
-    goal = nearest_free_cell(grid, *grid.cell_of(*meta["goal"]))
-    _length, cells = astar_path(grid, start, goal)
+    start_cell = nearest_free_cell(grid, *grid.cell_of(*start))
+    goal_cell = nearest_free_cell(grid, *grid.cell_of(*goal))
+    _length, cells = astar_path(grid, start_cell, goal_cell)
     return [grid.center_of(ix, iy) for ix, iy in cells]
 
 
@@ -229,15 +226,12 @@ def cmd_plot(args) -> int:
             logs.append(read_rows(path, TrainLogRow))
         plot_training(logs, args.out)
     else:
-        rows, meta, world = load_trajectory(args.traj)
+        record, world, goal_radius = load_trajectory(args.traj)
         if args.kind == "trajectory":
-            planner = _planner_overlay(world, meta, args.cell) if args.planner else None
-            plot_trajectory(
-                rows, world, args.out, planner=planner,
-                goal=tuple(meta["goal"]), goal_radius=meta.get("goal_radius"),
-            )
+            planner = _planner_overlay(world, record.start, record.goal, args.cell) if args.planner else None
+            plot_trajectory(record.rows, world, args.out, planner=planner, goal=record.goal, goal_radius=goal_radius)
         else:
-            plot_components(rows, args.out)
+            plot_components(record.rows, args.out)
     print(f"written: {args.out}")
     return 0
 

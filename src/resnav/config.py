@@ -9,19 +9,20 @@ evaluation section; the trainer inherits both from there.
 
 Every section, and the file's top level, is one validation table: each
 field takes its type from its default and states its bounds on itself
-(errors.bounded), errors.check_fields checks them all, and a section's
-errors are prefixed with its name. Only rules that span fields are
-written by hand.
+(errors.bounded) and errors.check_fields checks them all. The file is
+read by fileio.from_doc, each section as the dataclass of its field, and
+a section's errors are prefixed with its name. Only rules that span
+fields are written by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .env import EpisodeConfig, SensorConfig
 from .errors import ConfigurationError, bounded, check_fields, require
-from .fileio import json_text, read_json, write_atomically
+from .fileio import from_doc, json_text, read_json, write_atomically
 from .policy import TRAINING_MODES
 from .prior import PriorParams
 from .td3 import Td3Config
@@ -81,31 +82,13 @@ _MOVED_KEYS = {
 }
 
 
-def _from_dict(name: str, cls, data) -> object:
-    """cls built from a JSON object, its sections (fields with a default factory) built
-    the same way; each error is prefixed by the name of the section it is found in."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{name}: expected an object, got {type(data).__name__}")
-    for key in data:
-        if (name, key) in _MOVED_KEYS:
-            raise ConfigurationError(f"{name}: {key} is not accepted here; use {_MOVED_KEYS[name, key]}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigurationError(f"{name}: unknown key(s) {unknown}")
-    values = {f.name: _from_dict(f.name, f.default_factory, data.get(f.name, {}))
-              for f in fields(cls) if f.default_factory is not MISSING}
-    try:
-        return cls(**{**data, **values})
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigurationError(f"config root must be an object, got {type(data).__name__}")
-    if data.get("format") != EXP_FORMAT:
-        raise ConfigurationError(f"unsupported config format {data.get('format')!r}")
-    return _from_dict("config", ExperimentConfig, {key: value for key, value in data.items() if key != "format"})
+    for (section, key), moved_to in _MOVED_KEYS.items():
+        if isinstance(data.get(section), dict) and key in data[section]:
+            raise ConfigurationError(f"{section}: {key} is not accepted here; use {moved_to}")
+    return from_doc(ExperimentConfig, data, "config", EXP_FORMAT)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -124,4 +107,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    return config_from_dict(read_json(path))
+    return read_json(path, config_from_dict)

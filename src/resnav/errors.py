@@ -11,6 +11,7 @@ from dataclasses import MISSING, field, fields
 
 # bound key -> (test, symbol in the error message)
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+_KINDS = {bool: "true or false", str: "a non-empty string", int: "an integer", float: "a number"}  # in error messages
 
 
 class ConfigurationError(ValueError):
@@ -61,18 +62,20 @@ def check_fields(config) -> None:
             items, kind = tuple(value), type(f.default[0])
             object.__setattr__(config, name, items)
         for item in items:
-            _check_item(name, item, kind, f.metadata)
+            check_item(name, item, kind, f.metadata)
 
 
-def _check_item(name: str, value, kind: type, bounds) -> None:
-    if kind is str:
-        if not isinstance(value, str) or not value:
-            raise ConfigurationError(f"{name} must be a non-empty string, got {value!r}")
+def check_item(name: str, value, kind: type, bounds) -> None:
+    """Check one value of kind str, bool, int or float against bounds (a mapping of gt, ge, lt, le), naming it."""
+    if kind in (bool, str):
+        if not isinstance(value, kind) or value == "":
+            raise ConfigurationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
         return
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise ConfigurationError(f"{name} must be {'a number' if kind is float else 'an integer'}, got {value!r}")
+        raise ConfigurationError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if kind is float and not abs(value) <= sys.float_info.max:  # nan, ±inf, or an int beyond float range
-        raise ConfigurationError(f"{name} must be finite, got {value}")
+        shown = value if isinstance(value, float) else "an integer beyond float range"
+        raise ConfigurationError(f"{name} must be finite, got {shown}")
     for key, bound in bounds.items():
         test, symbol = _BOUNDS[key]
         if not test(value, bound):

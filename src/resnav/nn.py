@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .fileio import write_atomically
+from .fileio import from_doc, write_atomically
 
 CKPT_FORMAT = "ckpt/1"
 _CKPT_MAGIC = b"ckpt/1\n"
@@ -326,16 +326,21 @@ def polyak_update(target: np.ndarray, live: np.ndarray, tau: float) -> None:
     target += tau * live
 
 
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """The JSON line of a ckpt/1 file, beside its format tag: the network's architecture and training mode tag."""
+
+    mode: str
+    layer_sizes: list[int]
+    dropout_p: float
+    hidden_activation: str
+    output_activation: str
+
+
 def save_checkpoint(net: Mlp, mode: str, path: str | Path) -> None:
     """Write a ckpt/1 file: magic, JSON header line, little-endian float64 blob."""
-    header = {
-        "format": CKPT_FORMAT,
-        "mode": mode,
-        "layer_sizes": net.layer_sizes,
-        "dropout_p": net.dropout_p,
-        "hidden_activation": "relu",
-        "output_activation": net.output_activation,
-    }
+    header = {"format": CKPT_FORMAT, **asdict(CheckpointHeader(mode, net.layer_sizes, net.dropout_p, "relu",
+                                                               net.output_activation))}
     blob = np.ascontiguousarray(net.params, dtype="<f8").tobytes()
     write_atomically(path, _CKPT_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
 
@@ -350,17 +355,14 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, str]:
     if nl < 0:
         raise ConfigurationError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(rest[:nl].decode())
+        header = from_doc(CheckpointHeader, json.loads(rest[:nl].decode()), "header", CKPT_FORMAT)
+        if header.hidden_activation != "relu":
+            raise ConfigurationError(f"unsupported hidden activation {header.hidden_activation!r}")
+        net = Mlp(header.layer_sizes, header.output_activation, header.dropout_p, rng=None)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint header: {exc}") from exc
-    expected = {"format", "mode", "layer_sizes", "dropout_p", "hidden_activation", "output_activation"}
-    if set(header) != expected:
-        raise ConfigurationError(f"{path}: checkpoint header keys {sorted(header)} != {sorted(expected)}")
-    if header["format"] != CKPT_FORMAT:
-        raise ConfigurationError(f"{path}: unsupported checkpoint format {header['format']!r}")
-    if header["hidden_activation"] != "relu":
-        raise ConfigurationError(f"{path}: unsupported hidden activation {header['hidden_activation']!r}")
-    net = Mlp(header["layer_sizes"], header["output_activation"], header["dropout_p"], rng=None)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     blob = rest[nl + 1:]
     if len(blob) != net.params.nbytes:
         raise ConfigurationError(f"{path}: parameter blob is {len(blob)} bytes, expected {net.params.nbytes}")
@@ -368,4 +370,4 @@ def load_checkpoint(path: str | Path) -> tuple[Mlp, str]:
     bad = np.count_nonzero(~np.isfinite(net.params))
     if bad:
         raise ConfigurationError(f"{path}: {bad} parameter(s) are not finite")
-    return net, str(header["mode"])
+    return net, header.mode

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .env import IDX_PREV_OMEGA, IDX_PREV_V, NavEnv, StepResult, Terminal, discounted_return, prior_of
-from .errors import ConfigurationError, UsageError
-from .fileio import read_json, read_rows, write_json, write_rows
+from .errors import ConfigurationError, UsageError, check_item
+from .fileio import from_doc, read_json, read_rows, write_json, write_rows
 from .policy import PolicyOutput, controller_of
-from .world import WorldSpec, finite_number, world_from_dict, world_to_dict
+from .world import WorldSpec, world_from_dict, world_to_dict
 
 TRAJ_FORMAT = "traj/1"
 
@@ -52,7 +52,7 @@ class EpisodeRecord:
     discounted_return: float
     start: tuple[float, float]
     goal: tuple[float, float]
-    rows: list[TrajectoryRow] = field(repr=False, default_factory=list)
+    rows: list[TrajectoryRow] = field(repr=False, default_factory=list, init=False)
 
 
 def policy_rng(seed: int) -> np.random.Generator:
@@ -106,7 +106,7 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
             reward=result.reward,
         ))
     start = env.start
-    return EpisodeRecord(
+    record = EpisodeRecord(
         mode=name,
         seed=seed,
         terminal=result.terminal,
@@ -116,8 +116,9 @@ def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
         discounted_return=discounted_return(env.steps, result.terminal, env.episode.gamma),
         start=start.position(),
         goal=env.goal,
-        rows=[TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows],
     )
+    record.rows = [TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows]
+    return record
 
 
 def meta_path_for(path: str | Path) -> Path:
@@ -127,13 +128,13 @@ def meta_path_for(path: str | Path) -> Path:
 def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> None:
     """Write the step CSV and its .meta.json sidecar next to it.
 
-    The sidecar holds every field of the record but its rows, the goal
-    radius and the world.
+    The sidecar holds every init field of the record (all but its rows),
+    the goal radius and the world.
     """
     path = Path(path)
     write_rows(path, TrajectoryRow, record.rows)
     write_json(meta_path_for(path), {
-        **{f.name: getattr(record, f.name) for f in fields(record) if f.name != "rows"},
+        **{f.name: getattr(record, f.name) for f in fields(record) if f.init},
         "format": TRAJ_FORMAT,
         "terminal": record.terminal.value,
         "goal_radius": env.episode.d_threshold,
@@ -141,8 +142,8 @@ def save_trajectory(record: EpisodeRecord, env: NavEnv, path: str | Path) -> Non
     })
 
 
-def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict, WorldSpec]:
-    """Read a trajectory CSV plus sidecar; validates both, returns rows, sidecar and its world."""
+def load_trajectory(path: str | Path) -> tuple[EpisodeRecord, WorldSpec, float | None]:
+    """The EpisodeRecord a trajectory CSV and its sidecar were written from, its world and its goal radius."""
     path = Path(path)
     rows = read_rows(path, TrajectoryRow)
     if not rows or rows[0].t != 0:
@@ -154,20 +155,13 @@ def load_trajectory(path: str | Path) -> tuple[list[TrajectoryRow], dict, WorldS
     meta_file = meta_path_for(path)
     if not meta_file.exists():
         raise UsageError(f"missing trajectory sidecar {meta_file}")
-    meta = read_json(meta_file, required=("world", "start", "goal"))
-    if meta.get("format") != TRAJ_FORMAT:
-        raise ConfigurationError(f"{meta_file}: unsupported format {meta.get('format')!r}")
-    # materialize the embedded world to catch stale or hand-edited sidecars
-    try:
-        world = world_from_dict(meta["world"])
-        for key in ("start", "goal"):
-            point = meta[key]
-            if not (isinstance(point, list) and len(point) == 2):
-                raise ConfigurationError(f"{key} must be a pair of numbers, got {point!r}")
-            for value in point:
-                finite_number(value, key)
-        if meta.get("goal_radius") is not None:
-            finite_number(meta["goal_radius"], "goal_radius")
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{meta_file}: {exc}") from exc
-    return rows, meta, world
+    record, world, goal_radius = read_json(meta_file, _read_sidecar)
+    record.rows = rows
+    return record, world, goal_radius
+
+
+def _read_sidecar(doc: dict) -> tuple[EpisodeRecord, WorldSpec, float | None]:
+    goal_radius, world = doc.pop("goal_radius", None), doc.pop("world", None)
+    if goal_radius is not None:
+        check_item("goal_radius", goal_radius, float, {"gt": 0.0})
+    return from_doc(EpisodeRecord, doc, "episode", TRAJ_FORMAT), world_from_dict(world), goal_radius

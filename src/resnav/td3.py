@@ -9,7 +9,7 @@ Rewards are the environment's sparse success signal; nothing is shaped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from .env import EVAL_SEED_OFFSET, EpisodeConfig, NavEnv, SensorConfig, Terminal
 from .errors import ConfigurationError, TrainingDiverged, UsageError, bounded, check_fields, require
 from .evaluation import paired_episodes
 from .grid import ShortestPathOracle
-from .fileio import read_json, read_rows, write_json, write_rows
+from .fileio import from_doc, read_json, read_rows, write_json, write_rows
 from .nn import Adam, Mlp, load_checkpoint, polyak_update, save_checkpoint
 from .policy import TRAINING_MODES, make_policy
 from .prior import PriorParams
@@ -328,8 +328,6 @@ def train(
     oracle = oracle or ShortestPathOracle()
     buffer = ReplayBuffer(config.buffer_capacity, dim)
     out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
 
     log: list[TrainLogRow] = []
     total_steps = 0
@@ -384,14 +382,21 @@ def train(
     return TrainResult(actor=actor, mode=mode, log=log, checkpoint_path=ckpt_path, log_path=log_path)
 
 
+@dataclass(frozen=True)
+class SnapshotState:
+    """snapshot/state.json: the last episode the snapshot holds, and its training mode."""
+
+    episode: int = field(metadata={"ge": 0})
+    mode: str
+
+
 def _save_snapshot(out_dir: Path, nets: Td3Nets, mode: str, log: list[TrainLogRow]) -> None:
     snap = out_dir / "snapshot"
-    snap.mkdir(exist_ok=True)
     save_checkpoint(nets.actor, mode, snap / "actor.ckpt")
     for k in (0, 1):
         save_checkpoint(nets.critics.row(k), mode, snap / f"critic{k + 1}.ckpt")
     write_rows(snap / "train_log.csv", TrainLogRow, log)
-    write_json(snap / "state.json", {"episode": log[-1].episode, "mode": mode})
+    write_json(snap / "state.json", asdict(SnapshotState(log[-1].episode, mode)))
 
 
 def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets, int, list[TrainLogRow]]:
@@ -400,10 +405,7 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
     state_file = snap / "state.json"
     if not state_file.exists():
         raise ConfigurationError(f"no snapshot to resume from under {run_dir}")
-    state = read_json(state_file, required=("episode",))
-    episode = state["episode"]
-    if isinstance(episode, bool) or not isinstance(episode, int) or episode < 0:
-        raise ConfigurationError(f"{state_file}: episode must be an integer >= 0, got {episode!r}")
+    state = read_json(state_file, lambda doc: from_doc(SnapshotState, doc, "state"))
     actor, _ = load_checkpoint(snap / "actor.ckpt")
     critic1, _ = load_checkpoint(snap / "critic1.ckpt")
     critic2, _ = load_checkpoint(snap / "critic2.ckpt")
@@ -418,4 +420,4 @@ def _load_snapshot(run_dir: Path, dim: int, config: Td3Config) -> tuple[Td3Nets,
                                  f"the config has dropout_p={config.dropout_p}")
     log_file = snap / "train_log.csv"
     history = read_rows(log_file, TrainLogRow) if log_file.exists() else []
-    return Td3Nets.from_networks(actor, critic1, critic2, config), episode + 1, history
+    return Td3Nets.from_networks(actor, critic1, critic2, config), state.episode + 1, history

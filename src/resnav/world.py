@@ -10,14 +10,14 @@ cached on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .fileio import json_text, read_json, write_atomically
+from .fileio import from_doc, json_text, read_json, write_atomically
 
 WORLD_FORMAT = "world/1"
 TWO_PI = 2.0 * math.pi
@@ -92,41 +92,8 @@ Shape = Rect | Circle
 
 
 def shape_to_dict(shape: Shape) -> dict:
-    if isinstance(shape, Rect):
-        return {"type": "rect", "params": [shape.x_min, shape.y_min, shape.x_max, shape.y_max]}
-    return {"type": "circle", "params": [shape.cx, shape.cy, shape.r]}
-
-
-def finite_number(value, what: str) -> float:
-    """A JSON number as a finite float; anything else is a ConfigurationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:  # an integer literal beyond float range
-        raise ConfigurationError(f"{what} is beyond float range") from None
-    if not math.isfinite(result):
-        raise ConfigurationError(f"{what} must be finite, got {result}")
-    return result
-
-
-def shape_from_dict(d: dict) -> Shape:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"shape entry must be an object, got {type(d).__name__}")
-    unknown = set(d) - {"type", "params"}
-    if unknown:
-        raise ConfigurationError(f"unknown shape keys: {sorted(unknown)}")
-    kind = d.get("type")
-    params = d.get("params")
-    if kind == "rect":
-        if not isinstance(params, list) or len(params) != 4:
-            raise ConfigurationError(f"rect needs 4 params, got {params!r}")
-        return Rect(*[finite_number(p, "rect param") for p in params])
-    if kind == "circle":
-        if not isinstance(params, list) or len(params) != 3:
-            raise ConfigurationError(f"circle needs 3 params, got {params!r}")
-        return Circle(*[finite_number(p, "circle param") for p in params])
-    raise ConfigurationError(f"unknown shape type {kind!r}")
+    """The tagged form fileio.from_doc reads a Shape from: its class name in lower case and its fields in order."""
+    return {"type": type(shape).__name__.lower(), "params": list(astuple(shape))}
 
 
 def shape_distance(a: Shape, b: Shape) -> float:
@@ -350,27 +317,7 @@ def world_to_dict(world: WorldSpec) -> dict:
 
 
 def world_from_dict(d: dict) -> WorldSpec:
-    if not isinstance(d, dict):
-        raise ConfigurationError("world document must be a JSON object")
-    expected = {"format", "width", "height", "robot_radius", "obstacles", "start_region", "goal_region"}
-    unknown = set(d) - expected
-    if unknown:
-        raise ConfigurationError(f"unknown world keys: {sorted(unknown)}")
-    missing = expected - set(d)
-    if missing:
-        raise ConfigurationError(f"missing world keys: {sorted(missing)}")
-    if d["format"] != WORLD_FORMAT:
-        raise ConfigurationError(f"unsupported world format {d['format']!r}, expected {WORLD_FORMAT!r}")
-    if not isinstance(d["obstacles"], list):
-        raise ConfigurationError("world obstacles must be a list")
-    return WorldSpec(
-        width=finite_number(d["width"], "world width"),
-        height=finite_number(d["height"], "world height"),
-        robot_radius=finite_number(d["robot_radius"], "robot_radius"),
-        obstacles=tuple(shape_from_dict(ob) for ob in d["obstacles"]),
-        start_region=shape_from_dict(d["start_region"]),
-        goal_region=shape_from_dict(d["goal_region"]),
-    )
+    return from_doc(WorldSpec, d, "world", WORLD_FORMAT)
 
 
 def world_to_json(world: WorldSpec) -> str:
@@ -382,8 +329,4 @@ def save_world(world: WorldSpec, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldSpec:
-    doc = read_json(path)
-    try:
-        return world_from_dict(doc)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    return read_json(path, world_from_dict)

@@ -201,8 +201,6 @@ def suite_paths(directory: str | Path, n_worlds: int) -> list[Path]:
 
 
 def write_suite(worlds: list[WorldSpec], directory: str | Path) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     paths = suite_paths(directory, len(worlds))
     for world, path in zip(worlds, paths):
         save_world(world, path)

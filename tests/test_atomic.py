@@ -20,6 +20,13 @@ class Unconvertible:
         raise OSError("simulated failure while writing the payload")
 
 
+def test_write_creates_the_missing_parent_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "x.txt"
+    write_atomically(path, "text\n")
+    assert path.read_text() == "text\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["x.txt"]
+
+
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     path.write_text("old\n")

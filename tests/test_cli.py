@@ -128,6 +128,17 @@ class TestWorkflow:
         assert main(["plot", "training", str(run_dir), "--out", str(svg3)]) == 0
         assert svg3.exists()
 
+    @pytest.mark.parametrize("kind", ["trajectory", "components", "training"])
+    def test_plot_creates_a_missing_directory(self, workspace, kind, tmp_path):
+        root, config = workspace
+        source = root / "runs" / "residual" / "seed0"
+        if kind != "training":
+            source = tmp_path / "ep.csv"
+            assert main(["rollout", "--config", str(config), "--controller", "prior", "--out", str(source)]) == 0
+        out = tmp_path / "nodir" / "deeper" / "x.svg"
+        assert main(["plot", kind, str(source), "--out", str(out)]) == 0
+        assert out.read_text().startswith("<svg ")
+
     def test_train_seed_override_is_checked_as_a_config_seed(self, workspace, capsys):
         _root, config = workspace
         assert main(["train", "--config", str(config), "--seed", "-1"]) == 2
@@ -218,6 +229,15 @@ class TestImpossibleInputs:
         save_checkpoint(actor, kind, ckpt)
         assert main(["eval", "--config", str(_variant(config, tmp_path)), "--controllers", "gated"]) == 2
         assert capsys.readouterr().err == f"error: {ckpt}: 2 parameter(s) are not finite\n"
+
+    def test_eval_rejects_a_corrupt_checkpoint_header(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        raw = (root / "runs" / "residual" / "seed0" / "actor.ckpt").read_bytes()
+        ckpt = tmp_path / "runs" / "residual" / "seed0" / "actor.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        ckpt.write_bytes(re.sub(rb'"dropout_p": [^,]*', b'"dropout_p": "x"', raw, count=1))
+        assert main(["eval", "--config", str(_variant(config, tmp_path)), "--controllers", "gated"]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: header: dropout_p must be a number, got 'x'\n"
 
     def test_eval_rejects_a_mislabelled_checkpoint_at_load(self, workspace, tmp_path, capsys, monkeypatch):
         root, config = workspace

@@ -334,9 +334,8 @@ class TestShortestPathOracle:
         evaluate(worlds, {"prior": PriorPolicy(), "random": RandomPolicy()}, 6,
                  episode_config=EpisodeConfig(max_steps=30), oracle=ShortestPathOracle(eval_cell))
         for world in worlds:
-            meta = {"start": world.start_region.center, "goal": world.goal_region.center}
             for cell in (gen_cell, eval_cell):
-                assert _planner_overlay(world, meta, cell)
+                assert _planner_overlay(world, world.start_region.center, world.goal_region.center, cell)
         keys = [(id(world), cell) for world, cell in calls]
         assert len(keys) == len(set(keys)), "a world was rasterised twice at one cell"
         for world in worlds:

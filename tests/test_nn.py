@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
 import re
@@ -460,7 +461,24 @@ class TestCheckpoint:
         raw = p.read_bytes()
         # the blob still fits [4, 3, 2], which a truncating load would build
         p.write_bytes(raw.replace(b'"layer_sizes": [4, 3, 2]', b'"layer_sizes": [4, 3.7, 2]', 1))
-        with pytest.raises(ConfigurationError, match="layer size 3.7 is not an integer"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{p}: header: layer_sizes must be an integer, got 3.7")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dropout_p", "x"), ("dropout_p", None), ("layer_sizes", 5), ("layer_sizes", [4, 3.7, 2]), ("mode", 7),
+        ("extra", 1), ("hidden_activation", ...),
+    ], ids=["dropout_p=x", "dropout_p=null", "layer_sizes=5", "layer_sizes=3.7", "mode=7", "extra_key", "missing_key"])
+    def test_corrupt_header_names_the_file_and_the_field(self, tmp_path, key, value):
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(Mlp([4, 3, 2], "tanh", rng=np.random.default_rng(1)), "residual", p)
+        magic, line, blob = p.read_bytes().split(b"\n", 2)
+        header = json.loads(line)
+        if value is ...:
+            del header[key]
+        else:
+            header[key] = value
+        p.write_bytes(b"\n".join([magic, json.dumps(header).encode(), blob]))
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(p))}: header: .*\b{key}\b"):
             load_checkpoint(p)
 
     def test_non_finite_parameters_rejected_by_file(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import typing
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -70,9 +71,9 @@ class TestRunEpisode:
             assert r.v_exec is not None and r.omega_exec is not None
         path = tmp_path / "e2e.csv"
         save_trajectory(record, env, path)
-        rows, _meta, _world = load_trajectory(path)
+        loaded, _world, _goal_radius = load_trajectory(path)
         with pytest.raises(UsageError, match="end-to-end runs have none"):
-            plot_components(rows)
+            plot_components(loaded.rows)
 
     def test_gated_rows_expose_the_decision(self):
         world = make_cluttered_world()
@@ -121,13 +122,15 @@ class TestTrajectoryFiles:
 
     def test_round_trip_preserves_rows(self, tmp_path):
         record, env, path = self.make_record(tmp_path)
-        rows, meta, world = load_trajectory(path)
-        assert rows == record.rows
+        loaded, world, goal_radius = load_trajectory(path)
+        assert loaded.rows == record.rows
         assert world == env.world
-        assert meta["mode"] == "prior"
-        assert meta["seed"] == 3
-        assert meta["success"] == record.success
-        assert meta["world"]["width"] == env.world.width
+        assert loaded.mode == "prior"
+        assert loaded.seed == 3
+        assert loaded.success == record.success
+        assert world.width == env.world.width
+        assert loaded == record
+        assert goal_radius == env.episode.d_threshold
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         record, env, path = self.make_record(tmp_path)
@@ -197,7 +200,21 @@ class TestTrajectoryFiles:
         meta = json.loads(meta_file.read_text())
         meta[key] = value
         meta_file.write_text(json.dumps(meta))
-        with pytest.raises(ConfigurationError, match=f"meta.json: {key}"):
+        # start and goal are fields of the episode record, the goal radius is checked beside it
+        where = "" if key == "goal_radius" else "episode: "
+        with pytest.raises(ConfigurationError, match=f"meta.json: {where}{key}"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "x"), ("terminal", "crash"), ("success", 1), ("seed", None), ("bogus", 1),
+    ])
+    def test_sidecar_is_read_in_full(self, tmp_path, key, value):
+        record, env, path = self.make_record(tmp_path)
+        meta_file = meta_path_for(path)
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(meta_file))}: episode: .*\b{key}\b"):
             load_trajectory(path)
 
     def test_sidecar_format_checked(self, tmp_path):

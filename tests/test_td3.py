@@ -586,7 +586,7 @@ class TestTrain:
         train([world], "residual", small_config(total_episodes=2), seed=1,
               episode_config=EpisodeConfig(max_steps=15), out_dir=out, oracle=ShortestPathOracle(0.25))
         (out / "snapshot" / "state.json").write_text(f'{{"episode": {episode}, "mode": "residual"}}\n')
-        with pytest.raises(ConfigurationError, match="state.json.*integer >= 0"):
+        with pytest.raises(ConfigurationError, match="state.json: state: episode must be (an integer|>= 0), got "):
             train([world], "residual", small_config(total_episodes=3), seed=1,
                   episode_config=EpisodeConfig(max_steps=15), out_dir=out, resume_from=out)
 
