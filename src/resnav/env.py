@@ -108,9 +108,12 @@ def build_observation(
     then the prior command (v, omega). SensorConfig admits only ray counts
     that split into the 15 bins.
     """
-    bins = ranges.reshape(N_BINS, -1).min(axis=1) / max_range
-    tail = [*goal, prev_action.v, prev_action.omega, prior_action.v, prior_action.omega]
-    return np.concatenate([bins, np.array(tail, dtype=np.float64)])
+    obs = np.empty(RESIDUAL_OBS_DIM)
+    bins = obs[:N_BINS]
+    np.minimum.reduce(ranges.reshape(N_BINS, -1), axis=1, out=bins)
+    bins /= max_range
+    obs[N_BINS:] = (*goal, prev_action.v, prev_action.omega, prior_action.v, prior_action.omega)
+    return obs
 
 
 class NavEnv:

@@ -150,8 +150,9 @@ class Mlp:
             return None
         # one draw split in layer order: the same stream as one draw per layer
         widths = self.layer_sizes[1:-1]
-        flat = np.multiply(rng.random(batch * sum(widths)) >= self.dropout_p, 1.0 / (1.0 - self.dropout_p),
-                           dtype=self.params.dtype)
+        # kept entries are 1 * scale and dropped ones 0 * scale, as multiplying the bool mask gives
+        flat = (rng.random(batch * sum(widths)) >= self.dropout_p).astype(self.params.dtype)
+        flat *= 1.0 / (1.0 - self.dropout_p)
         masks, offset = [], 0
         for w in widths:
             masks.append(flat[offset:offset + batch * w].reshape(batch, w))
@@ -310,7 +311,7 @@ def mc_statistics(
     if net.dropout_p == 0.0:
         y = net.forward(arr)
         return y, np.zeros_like(y)
-    ys = net.forward(np.tile(arr, (n_passes, 1)), rng=rng)
+    ys = net.forward(arr[None].repeat(n_passes, 0), rng=rng)
     # the operations of ys.mean(0) and ys.var(0), with the mean taken once
     mean = np.add.reduce(ys, 0) / n_passes
     d = ys - mean

@@ -62,7 +62,7 @@ class PolicyOutput:
 
 def epsilon_from_variance(variance: np.ndarray) -> float:
     """Switch probability: the larger per-dimension variance, clamped to [0, 1]."""
-    eps = float(np.max(np.asarray(variance, dtype=np.float64)))
+    eps = float(np.maximum.reduce(np.asarray(variance, dtype=np.float64)))
     return min(max(eps, 0.0), 1.0)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,16 @@ class PriorParams:
         check_fields(self)
 
 
+@cache
+def _beam_directions(n_rays: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of beam_angles(n_rays), built once per ray count; shared read-only arrays."""
+    angles = beam_angles(n_rays)
+    directions = (np.cos(angles), np.sin(angles))
+    for d in directions:
+        d.flags.writeable = False
+    return directions
+
+
 def prior_command(ranges: np.ndarray, angle_to_goal: float, params: PriorParams) -> Action:
     """Compute the prior's command from raw scan ranges and the goal bearing.
 
@@ -54,9 +65,9 @@ def prior_command(ranges: np.ndarray, angle_to_goal: float, params: PriorParams)
     if near.any():
         rn = ranges[near]
         mag = params.k_rep * (1.0 / rn - 1.0 / params.d_influence) / (rn * rn)
-        ang = beam_angles(len(ranges))[near]
-        fx -= float(np.dot(mag, np.cos(ang)))
-        fy -= float(np.dot(mag, np.sin(ang)))
+        cos_b, sin_b = _beam_directions(len(ranges))
+        fx -= float(np.dot(mag, cos_b[near]))
+        fy -= float(np.dot(mag, sin_b[near]))
 
     bearing = math.atan2(fy, fx)
     omega = min(max(params.k_omega * bearing, -1.0), 1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,36 @@ class EpisodeRecord:
     discounted_return: float
     start: tuple[float, float]
     goal: tuple[float, float]
-    rows: list[TrajectoryRow] = field(repr=False, default_factory=list, init=False)
+    # what run_episode kept of the episode: the start pose, whether rows record the prior's
+    # command, and per step (pose, observation acted on, policy output, step result)
+    _trace: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def rows(self) -> list[TrajectoryRow]:
+        """The t=0 start row and one row per step, built from run_episode's trace when first
+        read (evaluate never reads them); load_trajectory assigns the rows it reads."""
+        if self._trace is None:
+            return []
+        start, records_prior, steps = self._trace
+        rows = [TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta)]
+        for t, (pose, obs, out, result) in enumerate(steps, 1):
+            prior = prior_of(obs) if records_prior else None
+            rows.append(TrajectoryRow(
+                t=t,
+                x=pose.x, y=pose.y, theta=pose.theta,
+                v_exec=float(result.observation[IDX_PREV_V]),
+                omega_exec=float(result.observation[IDX_PREV_OMEGA]),
+                v_prior=prior.v if prior is not None else None,
+                omega_prior=prior.omega if prior is not None else None,
+                mu_dv=float(out.residual_mean[0]) if out.residual_mean is not None else None,
+                mu_dw=float(out.residual_mean[1]) if out.residual_mean is not None else None,
+                var_dv=float(out.residual_variance[0]) if out.residual_variance is not None else None,
+                var_dw=float(out.residual_variance[1]) if out.residual_variance is not None else None,
+                epsilon=out.epsilon,
+                used_prior_only=out.used_prior_only,
+                reward=result.reward,
+            ))
+        return rows
 
 
 def policy_rng(seed: int) -> np.random.Generator:
@@ -84,40 +114,23 @@ def drive(env: NavEnv, policy, seed: int) -> Iterator[tuple[np.ndarray, PolicyOu
 
 
 def run_episode(env: NavEnv, policy, seed: int) -> EpisodeRecord:
-    """Roll one episode of `policy` in `env`, recording every step; rows hold the prior's command
-    when the controller's table entry says so (Controller.records_prior)."""
+    """Roll one episode of `policy` in `env`, keeping every step for the record's rows; rows hold
+    the prior's command when the controller's table entry says so (Controller.records_prior)."""
     name, controller = controller_of(policy)
-    rows: list[TrajectoryRow] = []
-    for obs, out, result in drive(env, policy, seed):
-        prior = prior_of(obs) if controller.records_prior else None
-        rows.append(TrajectoryRow(
-            t=env.steps,
-            x=env.pose.x, y=env.pose.y, theta=env.pose.theta,
-            v_exec=float(result.observation[IDX_PREV_V]),
-            omega_exec=float(result.observation[IDX_PREV_OMEGA]),
-            v_prior=prior.v if prior is not None else None,
-            omega_prior=prior.omega if prior is not None else None,
-            mu_dv=float(out.residual_mean[0]) if out.residual_mean is not None else None,
-            mu_dw=float(out.residual_mean[1]) if out.residual_mean is not None else None,
-            var_dv=float(out.residual_variance[0]) if out.residual_variance is not None else None,
-            var_dw=float(out.residual_variance[1]) if out.residual_variance is not None else None,
-            epsilon=out.epsilon,
-            used_prior_only=out.used_prior_only,
-            reward=result.reward,
-        ))
-    start = env.start
+    steps = [(env.pose, obs, out, result) for obs, out, result in drive(env, policy, seed)]
+    terminal = steps[-1][3].terminal
     record = EpisodeRecord(
         mode=name,
         seed=seed,
-        terminal=result.terminal,
-        success=result.terminal is Terminal.GOAL,
+        terminal=terminal,
+        success=terminal is Terminal.GOAL,
         steps=env.steps,
         path_length_m=env.path_length,
-        discounted_return=discounted_return(env.steps, result.terminal, env.episode.gamma),
-        start=start.position(),
+        discounted_return=discounted_return(env.steps, terminal, env.episode.gamma),
+        start=env.start.position(),
         goal=env.goal,
     )
-    record.rows = [TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows]
+    record._trace = (env.start, controller.records_prior, steps)
     return record
 
 
@@ -156,6 +169,11 @@ def load_trajectory(path: str | Path) -> tuple[EpisodeRecord, WorldSpec, float |
     if not meta_file.exists():
         raise UsageError(f"missing trajectory sidecar {meta_file}")
     record, world, goal_radius = read_json(meta_file, _read_sidecar)
+    if record.steps != len(rows) - 1:
+        raise ConfigurationError(f"{meta_file}: episode: steps is {record.steps}, but {path} has {len(rows) - 1}")
+    if record.start != (rows[0].x, rows[0].y):
+        raise ConfigurationError(f"{meta_file}: episode: start is {record.start}, but {path} starts at "
+                                 f"{(rows[0].x, rows[0].y)}")
     record.rows = rows
     return record, world, goal_radius
 

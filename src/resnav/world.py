@@ -224,7 +224,8 @@ def raycast_angles(
     ray from inside the arena always has a finite hit.  Work arrays are
     laid out (shapes, rays), so the nearest hit is a reduction over
     contiguous rows.  Parallel rays and far-off origins overflow or divide
-    by zero quietly: such a ray misses and reads max_range.
+    by zero quietly: such a ray misses and reads max_range.  Every hit
+    test reads a NaN as a miss.
     """
     dx = np.cos(angles)
     dy = np.sin(angles)
@@ -245,7 +246,7 @@ def raycast_angles(
         hit &= u >= 0.0
         hit &= u <= 1.0
         np.putmask(t, ~hit, np.inf)
-        best = t.min(axis=0)
+        best = np.minimum.reduce(t, axis=0)
 
         cx, cy, r2 = world._circle_columns
         if cx.shape[0]:
@@ -256,14 +257,13 @@ def raycast_angles(
             c0 = ocx * ocx + ocy * ocy - r2
             disc = b * b
             disc -= c0
-            sq = np.sqrt(np.maximum(disc, 0.0))
+            # a ray that misses the circle has disc < 0: its root is NaN, and so is its t
+            sq = np.sqrt(disc)
             np.negative(b, out=b)
             t1 = b - sq
             t = np.where(t1 >= 0.0, t1, b + sq)
-            hit = disc >= 0.0
-            hit &= t >= 0.0
-            np.putmask(t, ~hit, np.inf)
-            np.minimum(best, t.min(axis=0), out=best)
+            np.putmask(t, ~(t >= 0.0), np.inf)
+            np.minimum(best, np.minimum.reduce(t, axis=0), out=best)
 
     return np.minimum(best, max_range, out=best)
 

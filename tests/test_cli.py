@@ -194,6 +194,21 @@ class TestWorkflow:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("key,value", [("steps", 5), ("start", [0.5, 0.5])])
+    @pytest.mark.parametrize("kind", ["trajectory", "components"])
+    def test_plot_sidecar_that_disagrees_with_the_csv(self, workspace, kind, key, value, capsys, tmp_path):
+        _root, config = workspace
+        traj = tmp_path / "ep.csv"
+        assert main(["rollout", "--config", str(config), "--controller", "prior", "--out", str(traj)]) == 0
+        meta_file = traj.with_suffix(".meta.json")
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        rc = main(["plot", kind, str(traj), "--out", str(tmp_path / "x.svg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_file}: episode: {key} is ")
+
     def test_resume_flag(self, workspace, capsys):
         root, config = workspace
         rc = main(["train", "--config", str(config), "--resume"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 import typing
 from dataclasses import astuple, dataclass, fields, replace
@@ -9,14 +10,22 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 import pytest
 
-from resnav.env import E2E_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig, Terminal
+from resnav import rollout
+from resnav.env import (
+    E2E_OBS_DIM, IDX_PREV_OMEGA, IDX_PREV_V, RESIDUAL_OBS_DIM, EpisodeConfig, NavEnv, SensorConfig, Terminal,
+    prior_of,
+)
 from resnav.errors import ConfigurationError, UsageError
-from resnav.evaluation import EpisodeMetrics
+from resnav.evaluation import EpisodeMetrics, evaluate
 from resnav.fileio import read_rows, write_rows
 from resnav.nn import Mlp
 from resnav.plots import plot_components
-from resnav.policy import EndToEndPolicy, GatedResidualPolicy, PriorPolicy, RandomPolicy
-from resnav.rollout import TrajectoryRow, load_trajectory, meta_path_for, policy_rng, run_episode, save_trajectory
+from resnav.policy import (
+    CONTROLLERS, EndToEndPolicy, GatedResidualPolicy, PriorPolicy, RandomPolicy, controller_of, make_policy,
+)
+from resnav.rollout import (
+    TrajectoryRow, drive, load_trajectory, meta_path_for, policy_rng, run_episode, save_trajectory,
+)
 from resnav.td3 import TrainLogRow
 
 from conftest import make_cluttered_world, make_empty_world
@@ -110,6 +119,85 @@ class TestRunEpisode:
         assert np.array_equal(a, b)
         c = policy_rng(8).uniform(size=4)
         assert not np.array_equal(a, c)
+
+
+def five_controllers() -> dict:
+    """Every controller of the table, its networks seeded so that the gate both fires and holds."""
+    actor = Mlp([RESIDUAL_OBS_DIM, 16, 16, 2], "tanh", 0.3, rng=np.random.default_rng(3))
+    for w in actor.weights:
+        w *= 10.0
+    e2e = Mlp([E2E_OBS_DIM, 8, 2], "tanh", 0.0, rng=np.random.default_rng(1))
+    actors = {"residual": actor, "gated": actor, "end_to_end": e2e}
+    return {name: make_policy(name, actor=actors.get(name), n_passes=20) for name in CONTROLLERS}
+
+
+def eager_rows(env: NavEnv, policy, seed: int) -> list[TrajectoryRow]:
+    """The rows as run_episode built them while stepping, before they were built on demand."""
+    records_prior = controller_of(policy)[1].records_prior
+    rows = []
+    for obs, out, result in drive(env, policy, seed):
+        prior = prior_of(obs) if records_prior else None
+        rows.append(TrajectoryRow(
+            t=env.steps,
+            x=env.pose.x, y=env.pose.y, theta=env.pose.theta,
+            v_exec=float(result.observation[IDX_PREV_V]),
+            omega_exec=float(result.observation[IDX_PREV_OMEGA]),
+            v_prior=prior.v if prior is not None else None,
+            omega_prior=prior.omega if prior is not None else None,
+            mu_dv=float(out.residual_mean[0]) if out.residual_mean is not None else None,
+            mu_dw=float(out.residual_mean[1]) if out.residual_mean is not None else None,
+            var_dv=float(out.residual_variance[0]) if out.residual_variance is not None else None,
+            var_dw=float(out.residual_variance[1]) if out.residual_variance is not None else None,
+            epsilon=out.epsilon,
+            used_prior_only=out.used_prior_only,
+            reward=result.reward,
+        ))
+    start = env.start
+    return [TrajectoryRow(t=0, x=start.x, y=start.y, theta=start.theta), *rows]
+
+
+class TestRowsOnDemand:
+    """run_episode keeps each step's objects; a record's rows are built when first read."""
+
+    def test_evaluate_builds_no_row(self, monkeypatch):
+        built = []
+
+        def counted(**cells):
+            built.append(cells["t"])
+            return TrajectoryRow(**cells)
+
+        monkeypatch.setattr(rollout, "TrajectoryRow", counted)
+        result = evaluate([make_cluttered_world(), make_empty_world()], five_controllers(), n_episodes=4,
+                          episode_config=EpisodeConfig(max_steps=40))
+        assert sum(e.steps for res in result.results.values() for e in res.episodes) > 0
+        assert built == []
+        record = run_episode(residual_env(make_cluttered_world(), max_steps=10), PriorPolicy(), seed=1)
+        assert built == []
+        assert len(record.rows) == len(built) == record.steps + 1
+
+    @pytest.mark.parametrize("name", list(CONTROLLERS))
+    def test_rows_equal_the_eager_rows_field_for_field(self, name):
+        policy = five_controllers()[name]
+        for world, seed in ((make_cluttered_world(), 2), (make_empty_world(), 5)):
+            want = eager_rows(residual_env(world, max_steps=60), policy, seed)
+            record = run_episode(residual_env(world, max_steps=60), policy, seed)
+            assert record.steps == len(want) - 1
+            assert len(record.rows) == len(want)
+            for got_row, want_row in zip(record.rows, want):
+                for f in fields(TrajectoryRow):
+                    got, expected = getattr(got_row, f.name), getattr(want_row, f.name)
+                    assert type(got) is type(expected) and got == expected, (name, got_row.t, f.name)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_record_pickles(self, read_first):
+        policy = five_controllers()["gated"]
+        record = run_episode(residual_env(make_cluttered_world(), max_steps=30), policy, seed=2)
+        if read_first:
+            assert len(record.rows) == record.steps + 1
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record
+        assert copy.rows == record.rows
+        assert copy.rows[-1].epsilon is not None
 
 
 class TestTrajectoryFiles:
@@ -215,6 +303,18 @@ class TestTrajectoryFiles:
         meta[key] = value
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(meta_file))}: episode: .*\b{key}\b"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("key, value", [("steps", 5), ("start", [0.5, 0.5])])
+    def test_sidecar_must_match_the_csv(self, tmp_path, key, value):
+        record, env, path = self.make_record(tmp_path)
+        assert record.steps > 5 and record.start != (0.5, 0.5)
+        meta_file = meta_path_for(path)
+        meta = json.loads(meta_file.read_text())
+        meta[key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(meta_file))}: episode: {key} is .*"
+                                                     rf"{re.escape(str(path))}"):
             load_trajectory(path)
 
     def test_sidecar_format_checked(self, tmp_path):

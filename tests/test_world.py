@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,55 @@ def reference_raycast_angles(x: float, y: float, angles: np.ndarray, max_range: 
     return np.minimum(best, max_range)
 
 
+def putmask_raycast_angles(x: float, y: float, angles: np.ndarray, max_range: float,
+                           world: WorldSpec) -> np.ndarray:
+    """raycast_angles as it was before the circle test took its root unclamped, kept as its reference.
+
+    Circles: the root of max(disc, 0) and a disc >= 0 mask; the nearest hit
+    through ndarray.min.
+    """
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        px, py, ex, ey = world._segment_columns
+        diff_x = px - x
+        diff_y = py - y
+        t_num = diff_x * ey - diff_y * ex
+        denom = ey * dx
+        denom -= ex * dy
+        t = t_num / denom
+        u = diff_x * dy
+        u -= diff_y * dx
+        u /= denom
+        hit = np.abs(denom) > 1e-12
+        hit &= t >= 0.0
+        hit &= u >= 0.0
+        hit &= u <= 1.0
+        np.putmask(t, ~hit, np.inf)
+        best = t.min(axis=0)
+
+        cx, cy, r2 = world._circle_columns
+        if cx.shape[0]:
+            ocx = x - cx
+            ocy = y - cy
+            b = ocx * dx
+            b += ocy * dy
+            c0 = ocx * ocx + ocy * ocy - r2
+            disc = b * b
+            disc -= c0
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            np.negative(b, out=b)
+            t1 = b - sq
+            t = np.where(t1 >= 0.0, t1, b + sq)
+            hit = disc >= 0.0
+            hit &= t >= 0.0
+            np.putmask(t, ~hit, np.inf)
+            np.minimum(best, t.min(axis=0), out=best)
+
+    return np.minimum(best, max_range, out=best)
+
+
 def poses_near_shapes(world: WorldSpec, n: int, rng: np.random.Generator):
     """Positions: uniform in the arena, a few cm from rectangle corners and circle
     rims, and slightly inside obstacles (where a colliding episode ends)."""
@@ -199,6 +249,103 @@ class TestRaycast:
                 assert np.array_equal(got, want), (world, x, y, theta)
                 checked += 1
         assert checked >= 10_000
+
+
+def rays_through_features(world: WorldSpec, rng: np.random.Generator, n: int):
+    """(x, y, angles) aimed at the awkward cases: rays through rectangle corners, along
+    rectangle edges and the walls, and tangent to circles, from points drawn in the arena."""
+    for _ in range(n):
+        x, y = rng.uniform(0.0, world.width), rng.uniform(0.0, world.height)
+        angles = []
+        for ob in world.obstacles:
+            if isinstance(ob, Rect):
+                for cx, cy in ((ob.x_min, ob.y_min), (ob.x_max, ob.y_min), (ob.x_max, ob.y_max), (ob.x_min, ob.y_max)):
+                    angles.append(math.atan2(cy - y, cx - x))
+            else:
+                d = math.hypot(ob.cx - x, ob.cy - y)
+                if d > ob.r:
+                    towards, half = math.atan2(ob.cy - y, ob.cx - x), math.asin(ob.r / d)
+                    angles += [towards - half, towards + half]
+        angles += [0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi, -math.pi]
+        yield x, y, np.array(angles)
+        # on an edge's line, looking along it: denom is 0 for the edges parallel to the ray
+        for ob in world.obstacles:
+            if isinstance(ob, Rect):
+                yield ob.x_min - rng.uniform(0.0, 0.5), ob.y_min, np.array([0.0, math.pi, 0.5 * math.pi])
+                yield ob.x_max, ob.y_max + rng.uniform(0.0, 0.5), np.array([-0.5 * math.pi, 0.5 * math.pi, 0.0])
+        yield 0.0, y, np.array([0.5 * math.pi, -0.5 * math.pi, 0.0, math.pi])
+        yield x, world.height, np.array([0.0, math.pi, -0.5 * math.pi])
+
+
+def centres_inside_obstacles(world: WorldSpec, rng: np.random.Generator, n: int):
+    """Scan poses whose centre lies inside an obstacle, as an episode that steps at dt=1.0
+    can end: one body length per step carries the robot through a thin wall's face."""
+    for _ in range(n):
+        ob = world.obstacles[rng.integers(len(world.obstacles))]
+        if isinstance(ob, Rect):
+            x, y = rng.uniform(ob.x_min, ob.x_max), rng.uniform(ob.y_min, ob.y_max)
+        else:
+            rho, phi = ob.r * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            x, y = ob.cx + rho * math.cos(phi), ob.cy + rho * math.sin(phi)
+        yield x, y, rng.uniform(-math.pi, math.pi) + beam_angles(180)
+
+
+class TestAgainstPutmaskReference:
+    """raycast_angles against putmask_raycast_angles, bit for bit, as int64 views."""
+
+    @staticmethod
+    def same_bits(cases, world: WorldSpec) -> int:
+        n = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for x, y, angles in cases:
+                got = raycast_angles(x, y, angles, 3.5, world)
+                want = putmask_raycast_angles(x, y, angles, 3.5, world)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (world, x, y, angles)
+                n += 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return n
+
+    def test_random_worlds_and_poses(self):
+        rng = np.random.default_rng(24)
+        worlds = generate_suite(WorldGenParams(), 20, 24)
+        n = 0
+        for world in worlds:
+            poses = [(rng.uniform(0.0, world.width), rng.uniform(0.0, world.height), rng.uniform(-math.pi, math.pi))
+                     for _ in range(100)]
+            poses += list(poses_near_shapes(world, 100, rng))
+            n += self.same_bits(((x, y, theta + beam_angles(180)) for x, y, theta in poses), world)
+        assert n == 4000
+
+    def test_centre_inside_a_circle_or_a_rectangle(self):
+        rng = np.random.default_rng(25)
+        worlds = generate_suite(WorldGenParams(), 10, 25)
+        kinds = set()
+        for world in worlds:
+            kinds |= {type(ob) for ob in world.obstacles}
+            self.same_bits(centres_inside_obstacles(world, rng, 100), world)
+        assert kinds == {Rect, Circle}
+
+    def test_dt_one_step_into_a_wall_scans_from_inside_it(self):
+        wall = Rect(3.8, 1.0, 4.2, 5.0)
+        world = centered_world(8.0, obstacles=(wall, Circle(6.0, 6.0, 0.5)))
+        pose = step_kinematics(Pose(3.5, 3.0, 0.0), 0.4, 0.0, 1.0)
+        assert wall.distance_to_point(pose.x, pose.y) == 0.0 and collides(pose, world)
+        hop = step_kinematics(Pose(5.7, 6.0, 0.0), 0.5, 0.0, 1.0)
+        assert collides(hop, world)
+        cases = [(p.x, p.y, p.theta + beam_angles(180)) for p in (pose, hop)]
+        assert self.same_bits(cases, world) == 2
+
+    def test_rays_through_corners_along_edges_and_tangent_to_circles(self):
+        rng = np.random.default_rng(26)
+        worlds = generate_suite(WorldGenParams(), 10, 26)
+        n = sum(self.same_bits(rays_through_features(world, rng, 30), world) for world in worlds)
+        assert n > 1000
+
+    def test_far_off_origin(self):
+        world = generate_suite(WorldGenParams(), 1, 27)[0]
+        cases = [(x, y, beam_angles(180)) for x, y in ((1e300, 1e300), (-1e300, 4.0), (1e-300, 1e154))]
+        assert self.same_bits(cases, world) == 3
 
 
 class TestScan:
